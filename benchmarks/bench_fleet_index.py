@@ -13,6 +13,13 @@ every mode including the CI smoke run:
   from-scratch recomputation;
 * (full mode only) the indexed path is faster at the largest fleet.
 
+A scaling test times indexed first-fit on the same request stream at two
+fleet sizes a decade apart (10k vs 100k hosts; 400 vs 4,000 at smoke
+size): with id-ordered buckets the host search costs O(#buckets), not
+O(#candidate hosts), so full mode asserts req/s stays within 1.5x across
+the decade, and every mode asserts decisions equal the linear scan at
+the small size.
+
 A second test times the goal-aware ML policy end-to-end on the same
 mixed 1000-host fleet (one fused arena forest call per 64-request batch)
 — the number the arena inference engine moves.  The goal-aware policy's
@@ -47,20 +54,24 @@ N_HOSTS = 40 if SMOKE else 1000
 # and make the CI benchmark-regression gate flaky.
 N_REQUESTS = 500 if SMOKE else 2500
 SEED = 13
+#: Fleet sizes of the scaling test, a decade apart, and the largest
+#: allowed req/s ratio between them (ROADMAP item 2's near-flat gate).
+SCALING_HOSTS = (400, 4_000) if SMOKE else (10_000, 100_000)
+SCALING_MAX_SLOWDOWN = 1.5
 
 
-def _fleet():
+def _fleet(n_hosts: int = N_HOSTS):
     # Mixed shapes so bucket iteration spans several fingerprints.
-    half = N_HOSTS // 2
+    half = n_hosts // 2
     return Fleet.mixed(
         [
-            (amd_opteron_6272(), N_HOSTS - half),
+            (amd_opteron_6272(), n_hosts - half),
             (intel_xeon_e7_4830_v3(), half),
         ]
     )
 
 
-def _run(policy_factory, repeats: int = 3):
+def _run(policy_factory, repeats: int = 3, n_hosts: int = N_HOSTS):
     """Best-of-``repeats`` timing: the kernel is milliseconds at smoke
     size, so a single sample is scheduler-noise-dominated; the fastest
     repeat is the standard microbenchmark noise killer.  Decisions are
@@ -71,7 +82,7 @@ def _run(policy_factory, repeats: int = 3):
     best_rps = 0.0
     fleet = decisions = reference = None
     for _ in range(repeats):
-        fleet = _fleet()
+        fleet = _fleet(n_hosts)
         policy = policy_factory()
         start = time.perf_counter()
         decisions = policy.decide_batch(requests, fleet)
@@ -164,6 +175,69 @@ def test_indexed_scan_equivalent_and_fast(report):
                 f"{name}: indexed scan must beat the linear scan at "
                 f"{N_HOSTS} hosts"
             )
+
+
+def test_indexed_first_fit_scales_flat(report):
+    """Indexed first-fit req/s at two fleet sizes a decade apart.
+
+    Same stream, fresh fleet per repeat, fleet build outside the timed
+    region: only the host search and block choice are timed.  Before the
+    id-ordered buckets, first-fit took ``min()`` over every candidate id,
+    so req/s fell ~10x across the decade; now each request reads one
+    head per bucket.
+    """
+    small, large = SCALING_HOSTS
+    _, linear, _ = _run(
+        lambda: FirstFitFleetPolicy(indexed=False), repeats=1, n_hosts=small
+    )
+    fleet_small, indexed_small, small_rps = _run(
+        FirstFitFleetPolicy, n_hosts=small
+    )
+    assert _fingerprints(indexed_small) == _fingerprints(linear), (
+        f"first-fit: indexed scan diverged from the linear scan at {small} "
+        "hosts"
+    )
+    fleet_small.index.assert_consistent(fleet_small.hosts)
+    fleet_large, _, large_rps = _run(FirstFitFleetPolicy, n_hosts=large)
+    fleet_large.index.assert_consistent(fleet_large.hosts)
+    slowdown = small_rps / large_rps
+
+    report(
+        "fleet_index_scaling",
+        "\n".join(
+            [
+                f"indexed first-fit, mixed AMD/Intel fleet, {N_REQUESTS} "
+                f"requests, seed {SEED}{', SMOKE' if SMOKE else ''}:",
+                "",
+                f"  {small:>7} hosts: {small_rps:>10.1f} req/s (best of 3)",
+                f"  {large:>7} hosts: {large_rps:>10.1f} req/s (best of 3)",
+                f"  slowdown over the decade: {slowdown:.2f}x "
+                f"(gate <= {SCALING_MAX_SLOWDOWN}x, full mode)",
+                "",
+                f"equivalence gate: indexed decisions identical to the "
+                f"linear scan at {small} hosts (asserted)",
+            ]
+        ),
+    )
+    record_bench(
+        "fleet_index_scaling",
+        {
+            "scenario": "indexed first-fit, mixed AMD/Intel fleet, fixed "
+            f"request count, seed {SEED}",
+            "requests": N_REQUESTS,
+            "small_hosts": small,
+            "large_hosts": large,
+            "small_rps": round(small_rps, 1),
+            "large_rps": round(large_rps, 1),
+            "slowdown": round(slowdown, 2),
+            "equivalent": True,
+        },
+    )
+    if not SMOKE:
+        assert slowdown <= SCALING_MAX_SLOWDOWN, (
+            f"indexed first-fit lost {slowdown:.2f}x req/s from {small} to "
+            f"{large} hosts (gate {SCALING_MAX_SLOWDOWN}x)"
+        )
 
 
 def test_goal_aware_end_to_end_throughput(report):

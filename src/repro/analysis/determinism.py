@@ -247,12 +247,14 @@ def _function_set_names(
 class UnsortedSetIterRule(Rule):
     """Flag ordered iteration over set-valued expressions.
 
-    Candidate generation pulls host ids out of ``FleetIndex`` sets; the
-    policies only stay bit-for-bit equivalent to a linear scan because
-    every such set is passed through an explicit sort first
-    (``tests/scheduler/test_index.py`` replays randomized traces to
-    prove it).  Iterating a set into a ``for`` loop, list, or ordered
-    comprehension reintroduces hash-order dependence.
+    The policies stay bit-for-bit equivalent to a linear scan only if
+    every host or node collection they walk has a defined order:
+    ``FleetIndex`` keeps its buckets as id-ascending lists for exactly
+    this reason (``tests/scheduler/test_index.py`` replays randomized
+    traces to prove it), and any set that does feed decision logic must
+    pass through an explicit sort first.  Iterating a set into a ``for``
+    loop, list, or ordered comprehension reintroduces hash-order
+    dependence.
     """
 
     id = "unsorted-set-iter"

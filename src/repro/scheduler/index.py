@@ -11,30 +11,39 @@ between events: one allocation touches one host.
 the queries.  It buckets hosts by ``(machine fingerprint, largest free
 block)`` — for whole-node placements a host's largest grantable block *is*
 its free-node count — and keeps O(1) running counters for the fleet
-aggregates.  :meth:`FleetHost.allocate <repro.scheduler.fleet.FleetHost.allocate>`
+aggregates.  Each bucket is one id-ascending list, kept in order by
+``bisect`` on every transition, so the lowest qualifying id is always a
+bucket head and no query has to materialize its candidates.
+:meth:`FleetHost.allocate <repro.scheduler.fleet.FleetHost.allocate>`
 and :meth:`~repro.scheduler.fleet.FleetHost.release` notify the index on
 every state change (the rebalancer's migrations go through the same two
 methods, so they are covered for free), and the placement policies query
 buckets instead of scanning:
 
-* *which hosts could fit an n-node block?* — the union of a shape's
-  buckets with free count >= n, skipping full and too-fragmented hosts
-  entirely;
+* *lowest-id host that could fit an n-node block?* — the smallest head
+  over a shape's buckets with free count >= n, O(#buckets)
+  (:meth:`FleetIndex.lowest`, first-fit);
+* *those hosts in id order?* — a lazy k-way merge of the qualifying
+  bucket lists, paying only for the ids actually consumed
+  (:meth:`FleetIndex.in_id_order`, goal-aware);
 * *which distinct shapes exist?* — an O(#shapes) dict, not an O(#hosts)
   scan;
 * *fleet free-node total / used threads / largest free block?* — counter
   reads, making the lifecycle fragmentation sample O(1) per event.
 
 The index is an accelerator, not an oracle: policies constructed with
-``indexed=False`` take the original linear-scan path, and
-``tests/scheduler/test_index.py`` asserts both that every counter matches
-a from-scratch recomputation under randomized churn and that indexed and
-linear scans make bit-for-bit identical decisions.
+``indexed=False`` take the original linear-scan path,
+:meth:`FleetIndex.candidates` is the brute-force reference query, and
+``tests/scheduler/test_index.py`` asserts that every counter and query
+matches a from-scratch recomputation under randomized churn and that
+indexed and linear scans make bit-for-bit identical decisions.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Set, Tuple
+import heapq
+from bisect import bisect_left, insort
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple
 
 from repro.topology.machine import MachineTopology
 
@@ -54,10 +63,9 @@ class FleetIndex:
     def __init__(self) -> None:
         #: fingerprint -> machine, in first-registration (= host id) order.
         self._machines: Dict[Tuple, MachineTopology] = {}
-        #: fingerprint -> all host ids of that shape.
-        self._host_ids: Dict[Tuple, Set[int]] = {}
-        #: fingerprint -> free-node count -> host ids (the buckets).
-        self._buckets: Dict[Tuple, Dict[int, Set[int]]] = {}
+        #: fingerprint -> free-node count -> host ids, strictly ascending
+        #: (the buckets; an emptied bucket is deleted, never kept).
+        self._buckets: Dict[Tuple, Dict[int, List[int]]] = {}
         #: host id -> current free-node count (the index's own view, so a
         #: resize never trusts the caller for the *old* bucket).
         self._free_of: Dict[int, int] = {}
@@ -90,11 +98,11 @@ class FleetIndex:
         machine = host.machine
         fingerprint = machine.fingerprint()
         self._machines.setdefault(fingerprint, machine)
-        self._host_ids.setdefault(fingerprint, set()).add(host.host_id)
         free = host.n_free_nodes
-        self._buckets.setdefault(fingerprint, {}).setdefault(
-            free, set()
-        ).add(host.host_id)
+        insort(
+            self._buckets.setdefault(fingerprint, {}).setdefault(free, []),
+            host.host_id,
+        )
         self._free_of[host.host_id] = free
         self._size_count[free] = self._size_count.get(free, 0) + 1
         self._max_free = max(self._max_free, free)
@@ -132,10 +140,10 @@ class FleetIndex:
         fingerprint = host.machine.fingerprint()
         buckets = self._buckets[fingerprint]
         bucket = buckets[old]
-        bucket.discard(host_id)
+        del bucket[bisect_left(bucket, host_id)]
         if not bucket:
             del buckets[old]
-        buckets.setdefault(new, set()).add(host_id)
+        insort(buckets.setdefault(new, []), host_id)
         self._free_of[host_id] = new
         self.free_nodes_total += new - old
 
@@ -171,17 +179,56 @@ class FleetIndex:
     def shapes(self) -> List[MachineTopology]:
         return list(self._machines.values())
 
-    def host_ids(self, fingerprint: Tuple) -> Set[int]:
-        """All host ids of one shape (empty set for unknown shapes)."""
-        return self._host_ids.get(fingerprint, set())
-
-    def buckets(self, fingerprint: Tuple) -> Dict[int, Set[int]]:
-        """free-node count -> host ids for one shape.  Treat as read-only."""
+    def buckets(self, fingerprint: Tuple) -> Dict[int, List[int]]:
+        """free-node count -> id-ascending host ids for one shape.  Live
+        views: treat as read-only."""
         return self._buckets.get(fingerprint, {})
 
+    def lowest(self, fingerprint: Tuple, min_free: int) -> int | None:
+        """Smallest host id of one shape with at least ``min_free`` free
+        nodes, or None — the min over qualifying bucket heads, so the cost
+        is O(#buckets) however many hosts qualify."""
+        return min(
+            (
+                ids[0]
+                for size, ids in self._buckets.get(fingerprint, {}).items()
+                if size >= min_free
+            ),
+            default=None,
+        )
+
+    def in_id_order(
+        self, wanted: Iterable[Tuple[Tuple, int]]
+    ) -> Iterator[int]:
+        """Ascending host ids that satisfy any ``(fingerprint, min_free)``
+        pair of ``wanted``, each id once.
+
+        A lazy ``heapq.merge`` over the qualifying bucket lists: setup is
+        O(#buckets) and each id consumed costs O(log #buckets), so a search
+        that accepts one of its first hosts never touches the rest.  The
+        merge reads the live buckets, so the fleet must not be mutated
+        while the iterator is in use — stop iterating before (or right
+        after) allocating.
+        """
+        floors: Dict[Tuple, int] = {}
+        for fingerprint, min_free in wanted:
+            floors[fingerprint] = min(
+                min_free, floors.get(fingerprint, min_free)
+            )
+        return heapq.merge(
+            *(
+                ids
+                for fingerprint, min_free in floors.items()
+                for size, ids in self._buckets.get(fingerprint, {}).items()
+                if size >= min_free
+            )
+        )
+
     def candidates(self, fingerprint: Tuple, min_free: int) -> List[int]:
-        """Host ids of one shape with at least ``min_free`` free nodes
-        (unordered; full and too-fragmented hosts are never visited)."""
+        """The reference query: every host id of one shape with at least
+        ``min_free`` free nodes, materialized.  The policies' hot paths use
+        :meth:`lowest` and :meth:`in_id_order` instead; tests compare both
+        against this."""
         found: List[int] = []
         for size, ids in self._buckets.get(fingerprint, {}).items():
             if size >= min_free:
@@ -213,19 +260,30 @@ class FleetIndex:
         assert self.total_threads == sum(
             h.machine.total_threads for h in hosts
         )
+        for fingerprint, buckets in self._buckets.items():
+            for size, ids in buckets.items():
+                assert ids, f"empty bucket ({size}) kept for a shape"
+                assert all(a < b for a, b in zip(ids, ids[1:])), (
+                    f"bucket ({size}) is not strictly ascending: first-fit "
+                    "would no longer match the linear scan"
+                )
         for host in hosts:
             fingerprint = host.machine.fingerprint()
             assert self._free_of.get(host.host_id) == host.n_free_nodes
-            assert host.host_id in self._buckets.get(fingerprint, {}).get(
-                host.n_free_nodes, set()
-            ), f"host {host.host_id} not in its ({host.n_free_nodes}) bucket"
-        indexed = {
+            bucket = self._buckets.get(fingerprint, {}).get(
+                host.n_free_nodes, []
+            )
+            at = bisect_left(bucket, host.host_id)
+            assert at < len(bucket) and bucket[at] == host.host_id, (
+                f"host {host.host_id} not in its ({host.n_free_nodes}) bucket"
+            )
+        indexed = sorted(
             host_id
             for buckets in self._buckets.values()
             for ids in buckets.values()
             for host_id in ids
-        }
-        assert indexed == {h.host_id for h in hosts}, (
+        )
+        assert indexed == sorted(h.host_id for h in hosts), (
             "index tracks a different host set than the fleet"
         )
         sizes: Dict[int, int] = {}

@@ -539,23 +539,10 @@ class LifecycleScheduler:
         fits.  Planning is all-or-nothing: migrations only execute if
         together they free enough nodes within ``reject_penalty_seconds``.
         """
-        # Distinct shapes come from the fleet index (O(#shapes), not a
-        # host scan); a shape's compatible hosts from its id buckets.
-        index = self.fleet.index
-        shapes: Dict[Tuple, int | None] = {}
-        compatible: List[FleetHost] = []
-        for key, machine in index.machines():
-            shapes[key] = self.policy.min_block_nodes(machine, request.vcpus)
-            if shapes[key] is not None:
-                compatible.extend(
-                    self.fleet.hosts[host_id]
-                    for host_id in index.host_ids(key)
-                )
-        if not compatible:
+        found = self._rebalance_target(request)
+        if found is None:
             return []
-
-        target = max(compatible, key=lambda h: (h.n_free_nodes, -h.host_id))
-        needed = shapes[target.machine.fingerprint()]
+        target, needed = found
         deficit = needed - target.n_free_nodes
         if deficit <= 0:
             # Not a fragmentation reject: a big-enough block already
@@ -599,6 +586,33 @@ class LifecycleScheduler:
             return []  # cannot free a big enough block within the gate
         return plan
 
+    def _rebalance_target(
+        self, request: PlacementRequest
+    ) -> Tuple[FleetHost, int] | None:
+        """The compatible host with the most free nodes (lowest id among
+        ties) and the block size the policy needs there, or None when no
+        shape can host the request.
+
+        Per compatible shape that host is the head of its largest
+        free-count bucket, so distinct shapes and their buckets (both from
+        the fleet index) answer it in O(#buckets) without visiting hosts.
+        """
+        index = self.fleet.index
+        best: Tuple[FleetHost, int] | None = None
+        for key, machine in index.machines():
+            needed = self.policy.min_block_nodes(machine, request.vcpus)
+            if needed is None:
+                continue
+            buckets = index.buckets(key)
+            free = max(buckets)
+            head = buckets[free][0]
+            if best is None or (free, -head) > (
+                best[0].n_free_nodes,
+                -best[0].host_id,
+            ):
+                best = (self.fleet.hosts[head], needed)
+        return best
+
     def _footprint_gb(self, request_id: int) -> float:
         request = self._active.get(request_id)
         if request is None:  # placed outside the engine; move it last
@@ -621,7 +635,8 @@ class LifecycleScheduler:
         fallback.
 
         Candidates come from the fleet index's same-shape buckets —
-        fullest-first is ascending free-count bucket order, and hosts
+        fullest-first is ascending free-count bucket order, id order
+        within a bucket is the bucket's own order, and hosts
         whose free count cannot cover the victim's block are never
         visited.  Block search goes through the shared per-shape score
         table.
@@ -632,7 +647,7 @@ class LifecycleScheduler:
             self.fleet.hosts[host_id]
             for size in sorted(buckets)
             if size >= placement.n_nodes
-            for host_id in sorted(buckets[size])
+            for host_id in buckets[size]
             if host_id != source.host_id
         ]
         machine = source.machine

@@ -23,10 +23,9 @@ a batch must see earlier allocations) and return one
 from __future__ import annotations
 
 import abc
-import heapq
 import inspect
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,20 +37,6 @@ from repro.scheduler.fleet import Fleet, FleetHost, minimal_shape
 from repro.scheduler.registry import ModelRegistry
 from repro.scheduler.requests import PlacementRequest
 from repro.topology.machine import MachineTopology
-
-
-def _in_id_order(host_ids: List[int]) -> Iterator[int]:
-    """Yield host ids ascending without sorting them all up front.
-
-    Candidate sets from the fleet index are unordered, but the linear-scan
-    path visits hosts in id order, so the indexed path must too.  Almost
-    every search accepts one of its first candidates, so a heap (O(n)
-    heapify, O(log n) per id actually consumed) beats a full sort.
-    Consumes the list it is given.
-    """
-    heapq.heapify(host_ids)
-    while host_ids:
-        yield heapq.heappop(host_ids)
 
 
 @dataclass
@@ -304,11 +289,9 @@ class FirstFitFleetPolicy(_HeuristicFleetPolicy):
         for fingerprint, plan in plans.items():
             if plan is None:
                 continue
-            ids = fleet.index.candidates(fingerprint, plan[1])
-            if ids:
-                lowest = min(ids)
-                if best is None or lowest < best:
-                    best = lowest
+            lowest = fleet.index.lowest(fingerprint, plan[1])
+            if lowest is not None and (best is None or lowest < best):
+                best = lowest
         return None if best is None else fleet.hosts[best]
 
 
@@ -581,7 +564,12 @@ class GoalAwareFleetPolicy(FleetPolicy):
         """The linear triple loop ``(exact, rank, host)`` with the host
         dimension answered by index buckets: per candidate rank only the
         hosts whose bucketed largest free block fits that placement are
-        visited, in the same id order the linear scan uses."""
+        visited, in the same id order the linear scan uses.
+
+        :meth:`~repro.scheduler.index.FleetIndex.in_id_order` merges the
+        live bucket lists lazily, so the fleet must not change while it is
+        iterated; ``_try_candidate`` allocates only on success, and the
+        search returns right after."""
         index = fleet.index
         orders: Dict[Tuple, List[int]] = {}
         entries: Dict[Tuple, Tuple] = {}
@@ -613,14 +601,12 @@ class GoalAwareFleetPolicy(FleetPolicy):
         max_rank = max(len(order) for order in orders.values())
         for exact in (True, False):
             for rank in range(max_rank):
-                candidates: List[int] = []
-                for fingerprint, order in orders.items():
-                    if rank >= len(order):
-                        continue
-                    placements, _ = entries[fingerprint]
-                    needed = placements[order[rank]].n_nodes
-                    candidates.extend(index.candidates(fingerprint, needed))
-                for host_id in _in_id_order(candidates):
+                wanted = [
+                    (fingerprint, entries[fingerprint][0][order[rank]].n_nodes)
+                    for fingerprint, order in orders.items()
+                    if rank < len(order)
+                ]
+                for host_id in index.in_id_order(wanted):
                     host = fleet.hosts[host_id]
                     fingerprint = host.machine.fingerprint()
                     placements, by_request = entries[fingerprint]

@@ -350,13 +350,12 @@ class ShardWorker:
         shapes: Dict[str, Dict[str, int]] = {}
         for fingerprint, machine in index.machines():
             buckets = index.buckets(fingerprint)
-            sizes = [size for size, ids in buckets.items() if ids]
             shapes[machine.name] = {
-                "n_hosts": len(index.host_ids(fingerprint)),
+                "n_hosts": sum(len(ids) for ids in buckets.values()),
                 "free_nodes": sum(
                     size * len(ids) for size, ids in buckets.items()
                 ),
-                "largest_free_block": max(sizes, default=0),
+                "largest_free_block": max(buckets, default=0),
             }
         return ShardSummary(
             shard_id=self.shard_id,

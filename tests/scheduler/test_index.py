@@ -4,7 +4,9 @@ Two contracts:
 
 * **consistency** — after any sequence of allocations, releases, and
   migrations, every index counter and bucket equals what a from-scratch
-  recomputation over the hosts produces (randomized replay);
+  recomputation over the hosts produces, and the id-ordered queries
+  (``lowest``, ``in_id_order``) equal the brute-force ``candidates``
+  reference (randomized replay);
 * **equivalence** — policies running on the index pick exactly the hosts
   and placements the original linear scans pick, on both the one-shot
   reference request stream and the churning lifecycle stream.
@@ -88,6 +90,34 @@ class TestIndexCounters:
         with pytest.raises(ValueError, match="already indexed"):
             fleet.index.register(fleet.hosts[0])
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda buckets: buckets[8].reverse(), "ascending"),
+            (lambda buckets: buckets[8].insert(1, buckets[8][0]), "ascending"),
+            (lambda buckets: buckets.setdefault(3, []), "empty bucket"),
+        ],
+        ids=["unsorted", "duplicate", "empty"],
+    )
+    def test_malformed_bucket_trips_check(self, corrupt, message):
+        # First-fit takes a bucket's head as its lowest id; a bucket that
+        # is out of order would silently diverge from the linear scan, so
+        # the consistency check must catch it even though every counter
+        # still agrees.
+        machine = amd_opteron_6272()
+        fleet = Fleet.homogeneous(machine, 4)
+        fleet.index.assert_consistent(fleet.hosts)
+        corrupt(fleet.index.buckets(machine.fingerprint()))
+        with pytest.raises(AssertionError, match=message):
+            fleet.index.assert_consistent(fleet.hosts)
+
+    def test_queries_on_unknown_shape_and_empty_request(self):
+        fleet = Fleet.homogeneous(amd_opteron_6272(), 2)
+        unknown = intel_xeon_e7_4830_v3().fingerprint()
+        assert fleet.index.lowest(unknown, 1) is None
+        assert list(fleet.index.in_id_order([(unknown, 1)])) == []
+        assert list(fleet.index.in_id_order([])) == []
+
     def test_fit_failure_counter(self):
         index = FleetIndex()
         assert index.fit_failures == 0
@@ -96,9 +126,41 @@ class TestIndexCounters:
         assert index.fit_failures == 2
 
 
+def _assert_queries_match_reference(index):
+    """``lowest`` and ``in_id_order`` against the brute-force
+    ``candidates`` for every shape and every ``min_free`` in
+    1..n_nodes, single-shape and multi-shape."""
+    shapes = list(index.machines())
+    for fingerprint, machine in shapes:
+        for min_free in range(1, machine.n_nodes + 1):
+            reference = index.candidates(fingerprint, min_free)
+            assert index.lowest(fingerprint, min_free) == min(
+                reference, default=None
+            )
+            assert list(index.in_id_order([(fingerprint, min_free)])) == (
+                sorted(reference)
+            )
+    largest = max(machine.n_nodes for _, machine in shapes)
+    for min_free in range(1, largest + 1):
+        # Every shape at once, each with its own floor (the goal-aware
+        # query shape), plus a repeated shape that must not duplicate ids.
+        wanted = [
+            (fingerprint, 1 + (min_free + offset) % machine.n_nodes)
+            for offset, (fingerprint, machine) in enumerate(shapes)
+        ]
+        reference = sorted(
+            host_id
+            for fingerprint, floor in wanted
+            for host_id in index.candidates(fingerprint, floor)
+        )
+        assert list(index.in_id_order(wanted)) == reference
+        repeated = wanted + [(wanted[0][0], wanted[0][1] + 1)]
+        assert list(index.in_id_order(repeated)) == reference
+
+
 class TestRandomizedReplayConsistency:
     """Replay random allocate/release/migration sequences and recompute
-    every counter from scratch after each step."""
+    every counter and query from scratch after each step."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_replay(self, seed):
@@ -162,6 +224,68 @@ class TestRandomizedReplayConsistency:
                 )
                 live[request_id] = dest.host_id
             index.assert_consistent(fleet.hosts)
+            _assert_queries_match_reference(index)
+
+    @pytest.mark.parametrize(
+        "policy_factory",
+        [
+            lambda: FirstFitFleetPolicy(),
+            lambda: GoalAwareFleetPolicy(ModelRegistry(seed=5)),
+        ],
+        ids=["first-fit", "ml"],
+    )
+    def test_rebalance_target_matches_full_scan(
+        self, policy_factory, monkeypatch
+    ):
+        # The rebalancer's target comes from bucket heads; it must be the
+        # host a full scan picks: most free nodes, lowest id among ties,
+        # over every host of every compatible shape.
+        bucket_target = LifecycleScheduler._rebalance_target
+        checked = []
+
+        def checking(engine, request):
+            found = bucket_target(engine, request)
+            compatible = [
+                host
+                for host in engine.fleet.hosts
+                if engine.policy.min_block_nodes(host.machine, request.vcpus)
+                is not None
+            ]
+            if not compatible:
+                assert found is None
+                return found
+            expected = max(
+                compatible, key=lambda h: (h.n_free_nodes, -h.host_id)
+            )
+            assert found is not None and found[0] is expected
+            assert found[1] == engine.policy.min_block_nodes(
+                expected.machine, request.vcpus
+            )
+            engine.fleet.index.assert_consistent(engine.fleet.hosts)
+            _assert_queries_match_reference(engine.fleet.index)
+            checked.append(request.request_id)
+            return found
+
+        monkeypatch.setattr(
+            LifecycleScheduler, "_rebalance_target", checking
+        )
+        requests = generate_churn_stream(
+            120,
+            seed=11,
+            arrival_rate=1.5,
+            mean_lifetime=25.0,
+            heavy_tail=True,
+            vcpus_choices=(8, 8, 8, 32),
+        )
+        report = LifecycleScheduler(
+            Fleet.mixed(
+                [(amd_opteron_6272(), 3), (intel_xeon_e7_4830_v3(), 2)]
+            ),
+            policy_factory(),
+            config=RebalanceConfig(),
+        ).run(requests)
+        assert checked, "the stream never asked the rebalancer for a target"
+        assert report.churn.migrations, "no rebalance plan ever executed"
 
 
 def _decision_fingerprints(report):
