@@ -1,11 +1,10 @@
 """Chaos benchmark: availability and tail latency under injected faults.
 
-One heavy-tailed churn stream runs through the supervised sharded
-service three times:
+One heavy-tailed churn stream runs through the sharded service (whose
+supervision is always on) three times:
 
-* **fault-free** — supervision on, no fault plan: the baseline the
-  chaos runs are compared against, and one arm of the hard equivalence
-  gate (supervision must not change a decision);
+* **fault-free** — no fault plan: the baseline the chaos runs are
+  compared against;
 * **chaos, immediate recovery** — the seeded kill-each-shard-once plan
   with ``recovery_rounds=0``: every crash is absorbed inside the failed
   send by a respawn + journal replay, and the merged report must be
@@ -19,8 +18,6 @@ service three times:
 
 Hard gates (asserted in full *and* smoke mode):
 
-* with no ``FaultPlan``, the supervised service's decisions and churn
-  report are bit-for-bit the unsupervised service's;
 * a crash-at-every-message sweep over a short stream converges to the
   fault-free merged report at every crash point;
 * the immediate-recovery chaos run equals the fault-free run.
@@ -131,28 +128,13 @@ def _availability(stats) -> float:
 
 
 def test_chaos_availability_and_convergence(report):
-    # ------------------------------------------------------------------
-    # Gate 1: supervision off vs on — identical outcomes, fault-free.
-    # ------------------------------------------------------------------
-    plain_report, _ = _run(_chaos_config(supervised=False))
-    supervised_report, base_seconds = _run(_chaos_config(supervised=True))
-    supervision_transparent = _signature(plain_report) == _signature(
-        supervised_report
-    )
-    assert supervision_transparent, (
-        "journaling and supervision must not change a single decision "
-        "when no fault fires"
-    )
+    base_report, base_seconds = _run(_chaos_config())
 
     # ------------------------------------------------------------------
-    # Gate 2: crash-at-every-message sweep converges (short stream).
+    # Gate 1: crash-at-every-message sweep converges (short stream).
     # ------------------------------------------------------------------
     sweep_config = ScheduleConfig(
-        **SWEEP_REFERENCE,
-        shards=2,
-        window=4,
-        supervised=True,
-        backoff_base_s=0.0,
+        **SWEEP_REFERENCE, shards=2, window=4, backoff_base_s=0.0
     )
     sweep_base, _ = _run(sweep_config, faults=FaultPlan(actions=[]))
     sweep_signature = _signature(sweep_base)
@@ -183,7 +165,7 @@ def test_chaos_availability_and_convergence(report):
         _chaos_config(), faults=plan
     )
     immediate_converged = _signature(immediate_report) == _signature(
-        supervised_report
+        base_report
     )
     assert immediate_converged, (
         "immediate-recovery chaos run must converge to the fault-free "
@@ -195,13 +177,13 @@ def test_chaos_availability_and_convergence(report):
     ids = [
         g.decision.request.request_id for g in deferred_report.decisions
     ]
-    assert len(ids) == len(set(ids)) == len(plain_report.decisions), (
+    assert len(ids) == len(set(ids)) == len(base_report.decisions), (
         "degraded operation must still decide every request exactly once"
     )
 
     rows = []
     for label, fleet_report, seconds in (
-        ("fault-free", supervised_report, base_seconds),
+        ("fault-free", base_report, base_seconds),
         ("chaos immediate", immediate_report, immediate_seconds),
         ("chaos deferred", deferred_report, deferred_seconds),
     ):
@@ -245,8 +227,6 @@ def test_chaos_availability_and_convergence(report):
         f"crash-at-every-message sweep: {sweep_runs} crash points, every "
         "one converged to the fault-free merged report (zero lost or "
         "duplicated placements)",
-        "supervision off vs on, fault-free: decisions and churn report "
-        "bit-for-bit identical",
     ]
     report("chaos", "\n".join(lines))
 
@@ -261,7 +241,6 @@ def test_chaos_availability_and_convergence(report):
             "window": WINDOW,
             "transport": "inline",
             "fault_plan": plan.to_dict(),
-            "supervision_transparent": supervision_transparent,
             "immediate_recovery_converged": immediate_converged,
             "crash_sweep_points": sweep_runs,
             "runs": {row.pop("label"): row for row in [dict(r) for r in rows]},

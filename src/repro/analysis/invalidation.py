@@ -159,7 +159,7 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
             # Deferred departures must survive a down shard: a failed
             # flush re-queues its pairs on the outbox instead of
             # dropping them.
-            "_flush_departures": ("_outbox",),
+            "_flush_outboxes": ("_outbox",),
         },
         runtime_check=(
             "crash-sweep report convergence "

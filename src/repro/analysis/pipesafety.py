@@ -64,7 +64,6 @@ WIRE_CLASSES = frozenset(
         "CacheInfo",
         "FaultAction",
         "FaultPlan",
-        "JournalEntry",
         "ServiceStats",
         "CapacityVector",
         "AdmissionDecision",
@@ -248,22 +247,19 @@ class PipeSafetyRule(Rule):
 
 
 #: Functions in ``scheduler/service.py`` allowed to issue a blocking
-#: ``client.request(...)`` — the supervised send helpers (one round trip
-#: each, or the sequential A/B baseline driven through them).  Dispatch
-#: loops everywhere else must fire with ``send()`` and gather.
-SANCTIONED_DISPATCH = frozenset(
-    {"_send", "_send_supervised", "_resolve_supervised", "_tracked_request"}
-)
+#: ``client.request(...)`` — the same-seq timeout retry of one shard's
+#: failed send.  Dispatch loops everywhere else must fire with
+#: ``send()`` and gather.
+SANCTIONED_DISPATCH = frozenset({"_tracked_request"})
 
 
 class BlockingDispatchRule(Rule):
     """Flag blocking ``client.request(...)`` calls inside service loops.
 
-    Overlapped dispatch exists precisely because a sequential
-    ``for shard in ...: client.request(...)`` loop serializes the worker
-    processes; after the split-protocol refactor the only sanctioned
-    blocking call sites are the supervised send helpers
-    (:data:`SANCTIONED_DISPATCH`).  A ``.request()`` reappearing inside a
+    The service's one dispatcher fires every shard's message and gathers
+    precisely because a ``for shard in ...: client.request(...)`` loop
+    serializes the worker processes; the only sanctioned blocking call
+    site is the same-seq retry helper (:data:`SANCTIONED_DISPATCH`).  A ``.request()`` reappearing inside a
     loop in ``scheduler/service.py`` is a perf regression waiting to
     land — fire the messages with ``send()`` and gather instead.
     """
@@ -305,8 +301,8 @@ class BlockingDispatchRule(Rule):
                             node,
                             "blocking client.request() inside a dispatch "
                             "loop serializes the shards; fire with send() "
-                            "and gather replies (only the supervised send "
-                            "helpers may call request() directly)",
+                            "and gather replies (only the same-seq retry "
+                            "helper may call request() directly)",
                         )
                     )
         return findings

@@ -76,13 +76,7 @@ class ScheduleConfig:
     window: int = 8
     workers: str = "inline"
     max_events: int | None = None
-    #: Overlapped dispatch: fire every shard's message for a routing
-    #: phase, then gather replies in shard order.  Results are
-    #: bit-for-bit identical either way; False (--no-overlap) keeps the
-    #: serial one-request-at-a-time baseline for A/B timing.
-    overlap: bool = True
-    # Fault tolerance (repro serve; also forced on by a FaultPlan)
-    supervised: bool = False
+    # Fault tolerance (repro serve; supervision is always on)
     request_timeout_s: float | None = 30.0
     fault_retries: int = 2
     backoff_base_s: float = 0.05
@@ -484,15 +478,6 @@ def add_schedule_arguments(
             "runs; default: drain the whole stream)",
         )
         service.add_argument(
-            "--no-overlap",
-            dest="overlap",
-            action="store_false",
-            help="dispatch shard round trips one at a time instead of "
-            "firing every shard's message and gathering the replies "
-            "(the serial A/B baseline; decisions and reports are "
-            "bit-for-bit identical either way)",
-        )
-        service.add_argument(
             "--emit-json",
             action="store_true",
             help="print the report as machine-readable JSON (the wire "
@@ -504,23 +489,14 @@ def add_schedule_arguments(
             "shard supervision, journaling, and crash recovery",
         )
         ft.add_argument(
-            "--supervised",
-            action="store_true",
-            help="journal every state-mutating shard message, track "
-            "shard health (up/suspect/down/recovering), retry timeouts "
-            "with seeded backoff, and recover crashed shards by respawn "
-            "+ journal replay",
-        )
-        ft.add_argument(
             "--request-timeout",
             dest="request_timeout_s",
             type=float,
             default=defaults.request_timeout_s,
             metavar="S",
             help="per-request reply deadline in seconds on the process "
-            "transport, stamped when the message is sent; overlapped "
-            "dispatch runs every in-flight shard's deadline "
-            "concurrently (default 30)",
+            "transport, stamped when the message is sent; every "
+            "in-flight shard's deadline runs concurrently (default 30)",
         )
         ft.add_argument(
             "--fault-retries",
@@ -552,8 +528,7 @@ def add_schedule_arguments(
             action="store_true",
             help="wrap every shard in a seeded fault plan that crashes "
             "it once (FaultPlan.kill_each_shard_once with the stream "
-            "seed) — a self-test of the recovery path; implies "
-            "supervision",
+            "seed) — a self-test of the recovery path",
         )
         adm = parser.add_argument_group(
             "admission control options",

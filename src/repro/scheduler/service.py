@@ -33,16 +33,19 @@ With one shard and a window of one, the service is the monolithic
 protocol: the reference-stream tests assert the decisions are
 bit-for-bit identical.
 
-Dispatch is *overlapped* by default: each phase of a routing round
-(departure flush, then the window itself) journals every mutating
-message first, fires every shard's message, and gathers the replies via
-``multiprocessing.connection.wait`` — processing them in shard order
-regardless of arrival order, so routing, retries, summaries, and merged
-reports are bit-for-bit those of the sequential ``--no-overlap``
-baseline while the worker processes run their slices concurrently.
-Failures surface at the gather and are resolved sequentially in shard
-order through the same retry/recovery tail the sequential path uses, so
-fault handling stays deterministic too.
+Dispatch has one path.  Each phase of a routing round (departure
+flush, then the window itself) stamps every mutating message with its
+shard's next sequence number, fires every shard's message, and gathers
+the replies via ``multiprocessing.connection.wait`` — processing them
+in shard order regardless of arrival order, so routing, retries,
+summaries, and merged reports are deterministic while the worker
+processes run their slices concurrently.  Failures surface at the
+gather and are resolved sequentially in shard order through one
+retry/recovery tail, so fault handling stays deterministic too.
+Supervision (sequence numbers, health, the in-flight ledger) is always
+on; the write-ahead journal keeps its entries only where a shard can
+actually die and be replayed (see
+:class:`~repro.scheduler.supervisor.ShardSupervisor`).
 """
 
 from __future__ import annotations
@@ -111,8 +114,6 @@ class ServiceStats:
     shard_requests: List[int] = field(default_factory=list)
     #: Arrivals placed by each shard.
     shard_placed: List[int] = field(default_factory=list)
-    #: Whether shard supervision (journaling, health, recovery) was on.
-    supervised: bool = False
     #: Shard crashes detected (dead pipe, dead process, injected kill).
     crashes: int = 0
     #: Request timeouts observed (wedged worker or dropped reply).
@@ -131,16 +132,12 @@ class ServiceStats:
     #: Arrivals whose placement was touched by a fault (re-routed, or
     #: placed through a send that needed retries/recovery).
     degraded_arrivals: int = 0
-    #: Routing rounds dispatched overlapped (fire every shard's message,
-    #: then gather); 0 when ``--no-overlap`` forces the serial baseline.
-    overlapped_rounds: int = 0
-    #: Wall-clock seconds spent inside placement rounds.  Under
-    #: overlapped dispatch this is what req/s actually experiences.
+    #: Wall-clock seconds spent inside placement rounds — what req/s
+    #: actually experiences.
     window_wall_seconds: float = 0.0
     #: Summed per-shard service time (send until the reply is ready).
-    #: Serial dispatch pays this sum on the wall clock; overlapped
-    #: dispatch pays roughly the per-round maximum — the gap between the
-    #: two fields is the time the overlap won back.
+    #: A round pays roughly its per-shard maximum on the wall clock —
+    #: the gap between the two fields is the time the overlap won back.
     shard_service_seconds: float = 0.0
     #: Capacity-reject retry fan-outs skipped because the next shard's
     #: summary (capacity vector + per-shape free totals, exact at that
@@ -197,7 +194,6 @@ class ServiceStats:
             exhausted=self.exhausted + other.exhausted,
             shard_requests=zipsum(self.shard_requests, other.shard_requests),
             shard_placed=zipsum(self.shard_placed, other.shard_placed),
-            supervised=self.supervised or other.supervised,
             crashes=self.crashes + other.crashes,
             timeouts=self.timeouts + other.timeouts,
             backoff_retries=self.backoff_retries + other.backoff_retries,
@@ -209,9 +205,6 @@ class ServiceStats:
             degraded_windows=self.degraded_windows + other.degraded_windows,
             degraded_arrivals=(
                 self.degraded_arrivals + other.degraded_arrivals
-            ),
-            overlapped_rounds=(
-                self.overlapped_rounds + other.overlapped_rounds
             ),
             window_wall_seconds=(
                 self.window_wall_seconds + other.window_wall_seconds
@@ -235,8 +228,7 @@ class ServiceStats:
             f"  optimistic retry: {self.retries} re-routes, "
             f"{self.recovered_by_retry} recovered, "
             f"{self.exhausted} exhausted every shard",
-            f"  dispatch: {self.overlapped_rounds} overlapped round(s), "
-            f"{self.window_wall_seconds:.3f}s window wall clock / "
+            f"  dispatch: {self.window_wall_seconds:.3f}s window wall clock / "
             f"{self.shard_service_seconds:.3f}s summed shard service",
         ]
         if self.shard_requests:
@@ -249,19 +241,18 @@ class ServiceStats:
                     )
                 )
             )
-        if self.supervised:
-            lines.append(
-                f"  supervision: {self.crashes} crashes, "
-                f"{self.timeouts} timeouts, "
-                f"{self.backoff_retries} backoff retries, "
-                f"{self.failovers} failovers"
-            )
-            lines.append(
-                f"  recovery: {self.journal_replays} journal replays "
-                f"({self.replayed_messages} messages), "
-                f"{self.degraded_windows} degraded windows, "
-                f"{self.degraded_arrivals} degraded arrivals"
-            )
+        lines.append(
+            f"  supervision: {self.crashes} crashes, "
+            f"{self.timeouts} timeouts, "
+            f"{self.backoff_retries} backoff retries, "
+            f"{self.failovers} failovers"
+        )
+        lines.append(
+            f"  recovery: {self.journal_replays} journal replays "
+            f"({self.replayed_messages} messages), "
+            f"{self.degraded_windows} degraded windows, "
+            f"{self.degraded_arrivals} degraded arrivals"
+        )
         if self.admission is not None:
             a = self.admission
             lines.append(
@@ -296,7 +287,6 @@ class ServiceStats:
             "exhausted": self.exhausted,
             "shard_requests": list(self.shard_requests),
             "shard_placed": list(self.shard_placed),
-            "supervised": self.supervised,
             "crashes": self.crashes,
             "timeouts": self.timeouts,
             "backoff_retries": self.backoff_retries,
@@ -305,7 +295,6 @@ class ServiceStats:
             "replayed_messages": self.replayed_messages,
             "degraded_windows": self.degraded_windows,
             "degraded_arrivals": self.degraded_arrivals,
-            "overlapped_rounds": self.overlapped_rounds,
             "window_wall_seconds": self.window_wall_seconds,
             "shard_service_seconds": self.shard_service_seconds,
         }
@@ -390,10 +379,10 @@ def merge_churn_stats(
 
 @dataclass
 class _DispatchOutcome:
-    """Result of one shard's round trip inside an overlapped dispatch:
-    either a response (with its service time and whether fault handling
-    touched it), or the :class:`ShardDownError` the sequential path
-    would have raised at that point."""
+    """Result of one shard's round trip inside a dispatch: either a
+    response (with its service time and whether fault handling touched
+    it), or the :class:`ShardDownError` of a shard that is (or just
+    went) DOWN with recovery deferred."""
 
     response: Dict | None = None
     elapsed: float = 0.0
@@ -411,18 +400,17 @@ class SchedulerService:
         ``shards``, ``window``, and ``workers`` select the service
         shape, everything else configures the per-shard engines exactly
         as it would configure the monolithic schedulers.  The
-        supervision knobs (``supervised``, ``request_timeout_s``,
-        ``fault_retries``, ``backoff_base_s``, ``recovery_rounds``)
-        configure the fault-tolerance layer.
+        supervision settings (``request_timeout_s``, ``fault_retries``,
+        ``backoff_base_s``, ``recovery_rounds``) configure the
+        fault-tolerance layer, which is always on.
     faults:
         Optional :class:`~repro.scheduler.faults.FaultPlan`: every shard
         client is wrapped in a
-        :class:`~repro.scheduler.faults.FaultInjectingClient` and
-        supervision is switched on (an unsupervised service could not
-        survive its own fault plan).  With ``faults=None`` and
-        ``config.supervised`` False, the service's wire bytes and
-        decisions are bit-for-bit those of the unsupervised service —
-        no ``seq`` keys, no journaling, nothing extra on the pipe.
+        :class:`~repro.scheduler.faults.FaultInjectingClient`.  The
+        journal keeps its entries only when a shard can die and be
+        replayed — a process worker, or any shard under a fault plan.
+        An inline worker without a fault plan cannot crash, so its
+        journal only stamps sequence numbers and holds nothing.
 
     Use as a context manager (or call :meth:`close`) so process-mode
     workers are shut down.
@@ -449,15 +437,14 @@ class SchedulerService:
             if faults is None
             else [faults.bind(shard) for shard in range(n)]
         )
-        self.supervisor: ShardSupervisor | None = None
-        if config.supervised or faults is not None:
-            self.supervisor = ShardSupervisor(
-                n,
-                retries=config.fault_retries,
-                backoff_base_s=config.backoff_base_s,
-                recovery_rounds=config.recovery_rounds,
-                seed=config.seed,
-            )
+        self.supervisor = ShardSupervisor(
+            n,
+            retries=config.fault_retries,
+            backoff_base_s=config.backoff_base_s,
+            recovery_rounds=config.recovery_rounds,
+            seed=config.seed,
+            replayable=config.workers == "process" or faults is not None,
+        )
         self._sleep = time.sleep
         self.clients = [self._make_client(shard) for shard in range(n)]
         self.summaries: List[ShardSummary] = [
@@ -488,7 +475,6 @@ class SchedulerService:
             transport=self.clients[0].transport,
             shard_requests=[0] * n,
             shard_placed=[0] * n,
-            supervised=self.supervisor is not None,
         )
         if self.admission is not None:
             # The report's stats object shares the controller's counters.
@@ -626,26 +612,24 @@ class SchedulerService:
         self.summaries[shard] = ShardSummary.from_dict(response["summary"])
 
     def _send(self, shard: int, message: Dict) -> Tuple[Dict, float]:
-        """One worker round-trip; returns (response, seconds).
+        """One shard's round trip through :meth:`_dispatch`; returns
+        (response, seconds).  Used by reject retries, failover, and the
+        read-only resend after a recovery.
 
-        Deferred departures for the shard are delivered first, so the
-        shard always processes its events in stream order.  With the
-        supervisor off this is the plain request path — no sequence
-        numbers, no journaling, nothing extra on the wire.
+        The shard's deferred departures are delivered first, so it
+        always processes its events in stream order.  Raises the
+        outcome's :class:`~repro.scheduler.supervisor.ShardDownError`
+        when the shard is (or just went) DOWN with recovery deferred —
+        the caller fails the work over to a surviving shard.
         """
-        if message.get("op") != "depart":
-            self._flush_departures(shard)
-        if self.supervisor is None:
-            start = time.perf_counter()
-            response = self.clients[shard].request(message)
-            elapsed = time.perf_counter() - start
-            self.stats.shard_service_seconds += elapsed
-            self._update_summary(shard, response)
-            return response, elapsed
-        return self._send_supervised(shard, message)
+        self._flush_outboxes([shard])
+        outcome = self._dispatch([(shard, message)])[shard]
+        if outcome.down is not None:
+            raise outcome.down
+        return outcome.response, outcome.elapsed
 
     def _tracked_request(self, shard: int, wire_message: Dict) -> Dict:
-        """One supervised round trip, accounted on the supervisor's
+        """One blocking same-seq retry, accounted on the supervisor's
         in-flight ledger for its duration."""
         supervisor = self.supervisor
         timeout = self.config.request_timeout_s
@@ -658,42 +642,6 @@ class SchedulerService:
         finally:
             supervisor.settle_send(shard)
 
-    def _send_supervised(
-        self, shard: int, message: Dict
-    ) -> Tuple[Dict, float]:
-        """One supervised round-trip: journal first (state-mutating ops),
-        then one attempt; failures run the shared
-        :meth:`_resolve_supervised` tail (bounded timeout retries with
-        seeded backoff, then either an immediate respawn-and-replay or a
-        deferred-recovery handoff).
-
-        Raises :class:`~repro.scheduler.supervisor.ShardDownError` when
-        the shard is (or just went) DOWN with recovery deferred — the
-        caller fails the work over to a surviving shard; the journal
-        entry has been rolled back so the eventual replay cannot
-        double-apply it.
-        """
-        supervisor = self.supervisor
-        start = time.perf_counter()
-        if supervisor.health[shard] == HEALTH_DOWN:
-            raise ShardDownError(shard, "down (recovery deferred)")
-        entry = None
-        wire_message = message
-        if message["op"] in MUTATING_OPS:
-            entry = supervisor.journal(shard, message)
-            wire_message = entry.message
-        try:
-            response = self._tracked_request(shard, wire_message)
-        except (ShardTimeoutError, ShardCrashError) as error:
-            return self._resolve_supervised(
-                shard, message, wire_message, entry, error, start
-            )
-        supervisor.mark_up(shard)
-        self._update_summary(shard, response)
-        elapsed = time.perf_counter() - start
-        self.stats.shard_service_seconds += elapsed
-        return response, elapsed
-
     def _resolve_supervised(
         self,
         shard: int,
@@ -703,13 +651,17 @@ class SchedulerService:
         error: ShardError,
         start: float,
     ) -> Tuple[Dict, float]:
-        """The shared failure tail of one supervised send: bounded
-        timeout retries with seeded backoff, then either an immediate
-        respawn-and-replay or a deferred-recovery handoff.  ``error`` is
-        the first attempt's failure — the sequential path enters from
-        :meth:`_send_supervised`, the overlapped dispatcher after its
-        gather, always in shard order, so counters, backoff draws, and
-        journal state match the sequential execution exactly.
+        """The failure tail of one send: bounded timeout retries with
+        seeded backoff, then either an immediate respawn-and-replay or a
+        deferred-recovery handoff.  ``error`` is the first attempt's
+        failure; :meth:`_dispatch` enters here after its gather, always
+        in shard order, so counters, backoff draws, and journal state
+        are deterministic.
+
+        Raises :class:`~repro.scheduler.supervisor.ShardDownError` when
+        the shard went DOWN with recovery deferred; the journal entry
+        has been rolled back so the eventual replay cannot double-apply
+        it.
         """
         supervisor = self.supervisor
         attempt = 0
@@ -758,7 +710,7 @@ class SchedulerService:
             self.stats.shard_service_seconds += elapsed
             return last_response, elapsed
         # Read-only message (summary/report): resend to the fresh worker.
-        return self._send_supervised(shard, message)
+        return self._send(shard, message)
 
     def _recover_shard(self, shard: int) -> Dict | None:
         """Rebuild a dead shard: respawn the worker from the serialized
@@ -784,8 +736,7 @@ class SchedulerService:
                 # transport (and stays sequential under fault injection,
                 # keeping message indices coupled to deliveries); the
                 # callback counts exactly the replies that arrived, so a
-                # mid-replay fault leaves the same counter trail as the
-                # sequential per-entry loop did.
+                # mid-replay fault leaves a deterministic counter trail.
                 self.clients[shard].request_many(
                     [entry.message for entry in supervisor.journals[shard]],
                     timeout_s=self.config.request_timeout_s,
@@ -811,15 +762,8 @@ class SchedulerService:
     def _recover_all(self) -> None:
         """Bring every DOWN shard back regardless of its recovery round —
         report merging needs all shards live."""
-        if self.supervisor is None:
-            return
         for shard in sorted(self.supervisor.down_shards()):
             self._recover_shard(shard)
-
-    def _down_shards(self) -> frozenset:
-        if self.supervisor is None:
-            return frozenset()
-        return self.supervisor.down_shards()
 
     def _has_other_up_shard(self, shard: int) -> bool:
         down = self.supervisor.down_shards()
@@ -828,23 +772,8 @@ class SchedulerService:
             for other in range(self.config.shards)
         )
 
-    def _flush_departures(self, shard: int) -> None:
-        events = self._outbox[shard]
-        if not events:
-            return
-        self._outbox[shard] = []
-        try:
-            self._send(shard, {"op": "depart", "events": events})
-        except ShardDownError:
-            # The owner went down with recovery deferred: the journal
-            # entry was rolled back, so nothing was applied — re-queue
-            # the pairs; they ride again after the shard recovers.
-            self._outbox[shard] = events + self._outbox[shard]
-            return
-        self.stats.departure_batches += 1
-
     # ------------------------------------------------------------------
-    # Overlapped dispatch
+    # Dispatch
     # ------------------------------------------------------------------
 
     def _await_replies(
@@ -854,8 +783,7 @@ class SchedulerService:
         reply or has passed its reply deadline; stamps the moment each
         became ready into ``ready_at`` (shards already stamped are
         skipped).  Crashed pipes and expired deadlines count as ready —
-        the subsequent ``recv()`` raises the crash or timeout, exactly
-        where the sequential path would have seen it."""
+        the subsequent ``recv()`` raises the crash or timeout."""
         waiting = [shard for shard in shards if shard not in ready_at]
         while waiting:
             connections = []
@@ -892,50 +820,20 @@ class SchedulerService:
     def _dispatch(
         self, sends: Sequence[Tuple[int, Dict]]
     ) -> Dict[int, _DispatchOutcome]:
-        """Overlapped multi-shard round trip: fire every message, gather
-        the replies, resolve them in shard order.
+        """Multi-shard round trip: fire every message, gather the
+        replies, resolve them in shard order.
 
         ``sends`` holds (shard, message) pairs in ascending shard order,
         at most one per shard; pending departures for every listed shard
         must already have been delivered (or *be* these messages).
+        Every mutating message is journaled before anything is fired
+        (the write-ahead ordering is phase-wide, and per-shard sequence
+        numbers stay deterministic); every send is tracked with its
+        deadline on the supervisor's in-flight ledger; failures run the
+        :meth:`_resolve_supervised` tail sequentially in shard order.
         Returns one :class:`_DispatchOutcome` per shard — outcomes with
-        ``down`` set carry the :class:`ShardDownError` the sequential
-        loop would have raised for that shard.
+        ``down`` set carry the shard's :class:`ShardDownError`.
         """
-        if self.supervisor is not None:
-            return self._dispatch_supervised(sends)
-        outcomes: Dict[int, _DispatchOutcome] = {}
-        starts: Dict[int, float] = {}
-        ready_at: Dict[int, float] = {}
-        for shard, message in sends:
-            starts[shard] = time.perf_counter()
-            self.clients[shard].send(message)
-            if self.clients[shard].gather_connection() is None:
-                # Inline transport: the work happened inside send(), so
-                # the shard's service time is the send duration alone.
-                ready_at[shard] = time.perf_counter()
-        self._await_replies([shard for shard, _ in sends], ready_at)
-        for shard, _ in sends:
-            response = self.clients[shard].recv()
-            elapsed = ready_at.get(shard, time.perf_counter()) - starts[shard]
-            self.stats.shard_service_seconds += elapsed
-            self._update_summary(shard, response)
-            outcomes[shard] = _DispatchOutcome(
-                response=response, elapsed=elapsed
-            )
-        return outcomes
-
-    def _dispatch_supervised(
-        self, sends: Sequence[Tuple[int, Dict]]
-    ) -> Dict[int, _DispatchOutcome]:
-        """The supervised overlap: journal *every* mutating message
-        before anything is fired (the write-ahead ordering is
-        phase-wide, and per-shard journals keep per-shard sequence
-        numbers identical to sequential dispatch), fire all sends with
-        per-shard deadlines on the supervisor's in-flight ledger, gather
-        once, then resolve in shard order — failures run the same
-        :meth:`_resolve_supervised` tail, sequentially, so recovery,
-        counters, and backoff draws match the sequential execution."""
         supervisor = self.supervisor
         outcomes: Dict[int, _DispatchOutcome] = {}
         entries: Dict[int, object] = {}
@@ -972,6 +870,8 @@ class SchedulerService:
             supervisor.track_send(shard, client.recv_deadline())
             fired.append(shard)
             if client.gather_connection() is None:
+                # Inline transport: the work happened inside send(), so
+                # the shard's service time is the send duration alone.
                 ready_at[shard] = time.perf_counter()
         self._await_replies(fired, ready_at)
         for shard, message in sends:
@@ -1007,12 +907,13 @@ class SchedulerService:
             )
         return outcomes
 
-    def _flush_overlapped(self, shards: Sequence[int]) -> Dict[int, bool]:
+    def _flush_outboxes(self, shards: Sequence[int]) -> Dict[int, bool]:
         """Deliver the pending departure batches of the given shards in
-        one overlapped dispatch; returns shard -> whether fault handling
-        touched the flush.  A shard that went down with recovery
-        deferred gets its events re-queued, exactly like the sequential
-        :meth:`_flush_departures` path."""
+        one dispatch; returns shard -> whether fault handling touched
+        the flush.  A shard that went down with recovery deferred gets
+        its events re-queued: the journal entry was rolled back, so
+        nothing was applied, and the pairs ride again after the shard
+        recovers."""
         sends: List[Tuple[int, Dict]] = []
         staged: Dict[int, List[List]] = {}
         for shard in shards:
@@ -1065,14 +966,7 @@ class SchedulerService:
             groups.setdefault(shard, []).append(position)
         results: List[GradedDecision | None] = [None] * len(items)
         finalized: set = set()
-        if self.config.overlap:
-            self._dispatch_window(
-                items, op, groups, results, assigned, finalized
-            )
-        else:
-            self._dispatch_window_sequential(
-                items, op, groups, results, assigned, finalized
-            )
+        self._dispatch_window(items, op, groups, results, assigned, finalized)
 
         finished: List[GradedDecision] = []
         for position, (request, event_time) in enumerate(items):
@@ -1091,50 +985,6 @@ class SchedulerService:
         self.stats.window_wall_seconds += time.perf_counter() - wall_start
         return finished
 
-    def _dispatch_window_sequential(
-        self,
-        items: Sequence[Tuple[PlacementRequest, float]],
-        op: str,
-        groups: Dict[int, List[int]],
-        results: List[GradedDecision | None],
-        assigned: List[int],
-        finalized: set,
-    ) -> None:
-        """The ``--no-overlap`` baseline: one blocking round trip per
-        shard, in shard order (each send flushes that shard's pending
-        departures first)."""
-        for shard in sorted(groups):
-            positions = groups[shard]
-            message = self._window_message(
-                op, [items[position] for position in positions]
-            )
-            faults_before = self.stats.crashes + self.stats.timeouts
-            try:
-                response, elapsed = self._send(shard, message)
-            except ShardDownError:
-                # The shard died mid-window with recovery deferred: fail
-                # its slice over to surviving shards, one request at a
-                # time, through the normal routing machinery.
-                self.stats.failovers += len(positions)
-                self.stats.degraded_arrivals += len(positions)
-                for position in positions:
-                    request, event_time = items[position]
-                    results[position], assigned[position] = self._failover(
-                        request, event_time, op
-                    )
-                    finalized.add(position)
-                continue
-            if self.stats.crashes + self.stats.timeouts != faults_before:
-                # Placed correctly, but only through retries or an
-                # inline respawn-and-replay: these arrivals rode through
-                # a fault window.
-                self.stats.degraded_arrivals += len(positions)
-            per_request = elapsed / len(positions)
-            for position, graded in zip(positions, response["graded"]):
-                entry = self._from_wire(graded, shard)
-                entry.decision_seconds = per_request
-                results[position] = entry
-
     def _dispatch_window(
         self,
         items: Sequence[Tuple[PlacementRequest, float]],
@@ -1144,15 +994,16 @@ class SchedulerService:
         assigned: List[int],
         finalized: set,
     ) -> None:
-        """The overlapped round: flush the pending departures of every
-        shard in this round's groups (one overlapped dispatch), then
-        fire every shard's window message and gather.  Only shards that
-        are about to receive a window message are flushed — flushing an
-        idle shard would refresh its summary earlier than sequential
-        dispatch does and break bit-for-bit routing equivalence."""
+        """One routing round: flush the pending departures of every
+        shard in this round's groups (one dispatch), then fire every
+        shard's window message and gather.  Only shards that are about
+        to receive a window message are flushed — an idle shard keeps
+        its departures (and its cached summary) until its next message.
+        A shard that died mid-window with recovery deferred has its
+        slice failed over to surviving shards, one request at a time,
+        through the normal routing machinery."""
         shards = sorted(groups)
-        self.stats.overlapped_rounds += 1
-        flush_faulted = self._flush_overlapped(shards)
+        flush_faulted = self._flush_outboxes(shards)
         sends = [
             (
                 shard,
@@ -1177,6 +1028,9 @@ class SchedulerService:
                     finalized.add(position)
                 continue
             if outcome.faulted or flush_faulted.get(shard, False):
+                # Placed correctly, but only through retries or a
+                # respawn-and-replay: these arrivals rode through a
+                # fault window.
                 self.stats.degraded_arrivals += len(positions)
             per_request = outcome.elapsed / len(positions)
             for position, graded in zip(
@@ -1191,8 +1045,6 @@ class SchedulerService:
         returns the shards still DOWN (excluded from routing this
         round).  A degraded round is one that starts with any shard
         still DOWN."""
-        if self.supervisor is None:
-            return frozenset()
         for shard in sorted(self.supervisor.down_shards()):
             if self.supervisor.due_for_recovery(shard, self.stats.rounds):
                 self._recover_shard(shard)
@@ -1212,7 +1064,7 @@ class SchedulerService:
             return ranked[0]
         self._recover_shard(sorted(exclude)[0])
         return self._rank_shards(
-            vcpus, debits, exclude=self._down_shards()
+            vcpus, debits, exclude=self.supervisor.down_shards()
         )[0]
 
     def _window_message(
@@ -1271,7 +1123,7 @@ class SchedulerService:
         admission controller's saturation gate.  Never true with zero
         live shards (routing force-recovers; the front end does not
         screen blind)."""
-        down = self._down_shards()
+        down = self.supervisor.down_shards()
         live = [
             shard
             for shard in range(self.config.shards)
@@ -1289,7 +1141,7 @@ class SchedulerService:
         shards contribute nothing (their capacity is unreachable)."""
         if not self._initial_capacity_total:
             return None
-        down = self._down_shards()
+        down = self.supervisor.down_shards()
         fractions: List[float] = []
         for vcpus, total in self._initial_capacity_total.items():
             if total <= 0:
@@ -1334,7 +1186,7 @@ class SchedulerService:
         controller = self.admission
         admitted: List[Tuple[PlacementRequest, float]] = []
         transition = controller.observe(
-            len(self._down_shards()), self._capacity_fraction()
+            len(self.supervisor.down_shards()), self._capacity_fraction()
         )
         if transition == "exited":
             admitted.extend(controller.drain())
@@ -1376,7 +1228,7 @@ class SchedulerService:
             ranked = self._rank_shards(
                 request.vcpus,
                 [0] * self.config.shards,
-                exclude=frozenset(tried) | self._down_shards(),
+                exclude=frozenset(tried) | self.supervisor.down_shards(),
             )
             if not ranked:
                 break  # every live shard has had a look
@@ -1435,7 +1287,7 @@ class SchedulerService:
         downs a shard (finite), or recovers one — and fault actions fire
         at most once, so a recovered shard cannot crash-loop."""
         while True:
-            exclude = self._down_shards()
+            exclude = self.supervisor.down_shards()
             ranked = self._rank_shards(
                 request.vcpus,
                 [0] * self.config.shards,
@@ -1533,11 +1385,7 @@ class SchedulerService:
         if pending:
             self._place_window(pending, "arrive")
         self._defer_departures(held)
-        if self.config.overlap:
-            self._flush_overlapped(range(self.config.shards))
-        else:
-            for shard in range(self.config.shards):
-                self._flush_departures(shard)
+        self._flush_outboxes(range(self.config.shards))
         elapsed = time.perf_counter() - start
         return self._merge_report(arrivals, elapsed, churn=True)
 
@@ -1602,26 +1450,21 @@ class SchedulerService:
         # Every shard must answer a report: bring DOWN shards back first
         # (their outboxes then flush through the report sends below).
         self._recover_all()
+        shards = range(self.config.shards)
+        self._flush_outboxes(shards)
+        outcomes = self._dispatch(
+            [(shard, {"op": "report"}) for shard in shards]
+        )
         reports = []
-        if self.config.overlap:
-            shards = range(self.config.shards)
-            self._flush_overlapped(shards)
-            outcomes = self._dispatch(
-                [(shard, {"op": "report"}) for shard in shards]
-            )
-            for shard in shards:
-                outcome = outcomes[shard]
-                if outcome.down is not None:
-                    # Unreachable after _recover_all (reports are
-                    # read-only, so even a fresh fault recovers
-                    # immediately), but propagate like the sequential
-                    # path would rather than merge a partial report.
-                    raise outcome.down
-                reports.append(outcome.response["report"])
-        else:
-            for shard in range(self.config.shards):
-                response, _ = self._send(shard, {"op": "report"})
-                reports.append(response["report"])
+        for shard in shards:
+            outcome = outcomes[shard]
+            if outcome.down is not None:
+                # A report is read-only, so a fault on it recovers
+                # immediately; only a departure flush that just went
+                # down with recovery deferred lands here.  Propagate
+                # rather than merge a partial report.
+                raise outcome.down
+            reports.append(outcome.response["report"])
 
         def merged_cache(key: str) -> CacheInfo | None:
             infos = [

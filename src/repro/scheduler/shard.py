@@ -39,8 +39,8 @@ stop      shut the worker down (process transport exits its loop)
 Both clients expose the protocol twice: the classic blocking
 ``request(message)`` round trip, and the split ``send(message)`` /
 ``recv(timeout)`` pair (plus a pipelined ``request_many``) the service's
-overlapped dispatcher uses to fire every shard's message before waiting
-on any reply.  ``send`` stamps the reply deadline, ``recv`` polls only
+dispatcher uses to fire every shard's message before waiting on any
+reply.  ``send`` stamps the reply deadline, ``recv`` polls only
 the remaining budget, and ``reply_ready`` / ``gather_connection`` /
 ``recv_deadline`` are the gather surface
 ``multiprocessing.connection.wait`` selects over.
@@ -247,7 +247,7 @@ class ShardWorker:
         #: Wall-clock seconds spent inside handle() — the shard's own
         #: busy time, reported alongside the front-end's elapsed time.
         self.busy_seconds = 0.0
-        #: Highest supervised sequence number applied, and its response.
+        #: Highest sequence number applied, and its response.
         #: A retried message whose reply was lost is answered from here
         #: instead of being applied twice (see ShardTimeoutError).
         self._applied_seq = -1
@@ -290,9 +290,9 @@ class ShardWorker:
         self.busy_seconds += time.perf_counter() - start
         if seq is not None:
             # Echo the sequence number so a client that timed out and
-            # retried can discard the stale reply of an earlier attempt
-            # (only supervised messages carry seq, so the unsupervised
-            # wire bytes are untouched).
+            # retried can discard the stale reply of an earlier attempt.
+            # The service stamps every mutating message; reads and
+            # hand-built messages carry no seq and are never deduped.
             response["seq"] = seq
             self._applied_seq = seq
             self._last_response = response
@@ -401,7 +401,7 @@ class InlineShardClient:
     a bug this client catches immediately.
 
     The client speaks the split protocol (:meth:`send` then
-    :meth:`recv`) the overlapped dispatcher uses; because the worker is
+    :meth:`recv`) the service's dispatcher uses; because the worker is
     in-process, the work happens synchronously inside ``send`` and the
     response waits in a FIFO buffer until ``recv`` collects it.
     """
@@ -457,7 +457,7 @@ class InlineShardClient:
             responses.append(response)
         return responses
 
-    # -- gather surface (overlapped dispatch) ---------------------------
+    # -- gather surface (service dispatch) ------------------------------
 
     def reply_ready(self) -> bool:
         """A response is buffered: recv() will not block."""
@@ -652,7 +652,7 @@ class ProcessShardClient:
             responses.append(response)
         return responses
 
-    # -- gather surface (overlapped dispatch) ---------------------------
+    # -- gather surface (service dispatch) ------------------------------
 
     def reply_ready(self) -> bool:
         """A reply can be read without blocking (buffered, pending on the

@@ -10,19 +10,24 @@ trusted, retried, or rebuilt:
   journal).  A ``down`` shard's client has been killed; it must be
   respawned before reuse.
 * **Write-ahead journal** per shard — every state-mutating message
-  (``arrive`` / ``depart`` / ``decide``) is appended *before* the send,
-  stamped with a monotonic sequence number that is embedded in the wire
-  message itself.  Replay after a respawn re-sends the journal in order
-  and rebuilds the shard's exact pre-crash state; the worker dedups on
-  the sequence number, so a message applied before the crash is never
+  (``arrive`` / ``depart`` / ``decide``) is stamped, *before* the send,
+  with a monotonic sequence number that is embedded in the wire message
+  itself.  Replay after a respawn re-sends the journal in order and
+  rebuilds the shard's exact pre-crash state; the worker dedups on the
+  sequence number, so a message applied before the crash is never
   applied twice and no placement is lost or duplicated.
 * **Seeded exponential backoff** — retry sleeps are
   ``base * 2^(attempt-1)`` with jitter drawn from ``random.Random(seed)``,
   so a fault-injection run's timing profile is reproducible.
 
-The journal holds the message dicts the wire already uses — nothing new
-crosses the pipe except the ``seq`` key, and only in supervised mode, so
-an unsupervised service's wire bytes are untouched.
+Supervision is always on, and nothing new crosses the pipe except the
+``seq`` key.  The journal *keeps* its entries (the message dicts the
+wire already uses) only when the shard is replayable: a process worker
+can die for real, and a fault plan can kill any worker.  An inline
+worker without a fault plan cannot crash — ``kill()`` is only ever
+called by recovery — so its journal would never be replayed; keeping it
+would hold every request dict of the whole serve alive for the garbage
+collector to rescan, for nothing.
 """
 
 from __future__ import annotations
@@ -59,25 +64,21 @@ class JournalEntry:
     seq: int
     message: Dict
 
-    def to_dict(self) -> Dict:
-        return {"seq": self.seq, "message": dict(self.message)}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "JournalEntry":
-        return cls(seq=data["seq"], message=dict(data["message"]))
-
 
 class ShardJournal:
     """Write-ahead journal of one shard's state-mutating messages.
 
     ``append`` assigns the next sequence number and embeds it in the
-    stored message, so the journaled form *is* the wire form — replay
+    returned message, so the journaled form *is* the wire form — replay
     re-sends entries verbatim.  Sequence numbers are monotonic and never
     reused, even across ``rollback``; gaps are harmless (the worker
-    dedups on ``seq <= applied``), reuse would not be.
+    dedups on ``seq <= applied``), reuse would not be.  With
+    ``keep=False`` entries are stamped but not stored, and the journal
+    refuses to replay once it has stamped anything.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, keep: bool = True) -> None:
+        self.keep = keep
         self.entries: List[JournalEntry] = []
         self.next_seq = 0
 
@@ -86,13 +87,17 @@ class ShardJournal:
             seq=self.next_seq, message={**message, "seq": self.next_seq}
         )
         self.next_seq += 1
-        self.entries.append(entry)
+        if self.keep:
+            self.entries.append(entry)
         return entry
 
     def rollback(self, entry: JournalEntry) -> None:
         """Remove a never-applied entry whose send terminally failed and
-        whose work was re-routed.  Sends are sequential, so only the most
-        recent entry can ever need rolling back."""
+        whose work was re-routed.  Only the most recent entry of a shard
+        can ever need rolling back (one message per shard is in flight
+        at a time)."""
+        if not self.keep:
+            return
         if not self.entries or self.entries[-1].seq != entry.seq:
             raise ValueError(
                 f"can only roll back the newest journal entry, not seq "
@@ -104,22 +109,12 @@ class ShardJournal:
         return len(self.entries)
 
     def __iter__(self) -> Iterator[JournalEntry]:
+        if not self.keep and self.next_seq:
+            raise RuntimeError(
+                "journal entries were not kept: this shard cannot be "
+                "replayed"
+            )
         return iter(self.entries)
-
-    def to_dict(self) -> Dict:
-        return {
-            "next_seq": self.next_seq,
-            "entries": [entry.to_dict() for entry in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ShardJournal":
-        journal = cls()
-        journal.next_seq = data["next_seq"]
-        journal.entries = [
-            JournalEntry.from_dict(entry) for entry in data["entries"]
-        ]
-        return journal
 
 
 class ShardSupervisor:
@@ -142,6 +137,9 @@ class ShardSupervisor:
         the respawn+replay happens k rounds later.
     seed:
         Seeds the backoff jitter stream.
+    replayable:
+        Whether the shards can die and be replayed, i.e. whether the
+        journals keep their entries (see the module docstring).
     """
 
     def __init__(
@@ -152,6 +150,7 @@ class ShardSupervisor:
         backoff_base_s: float = 0.05,
         recovery_rounds: int = 0,
         seed: int = 0,
+        replayable: bool = True,
     ) -> None:
         self.n_shards = n_shards
         self.retries = retries
@@ -159,17 +158,14 @@ class ShardSupervisor:
         self.recovery_rounds = recovery_rounds
         self.health: List[str] = [HEALTH_UP] * n_shards
         self.journals: List[ShardJournal] = [
-            ShardJournal() for _ in range(n_shards)
+            ShardJournal(keep=replayable) for _ in range(n_shards)
         ]
         self._rng = random.Random(seed)
         self._down_round: Dict[int, int] = {}
         #: shard -> monotonic reply deadline (or None) of its in-flight
-        #: send.  Overlapped dispatch keeps one entry per shard it has
-        #: fired and not yet gathered; sequential dispatch keeps at most
-        #: one entry total.
+        #: send: one entry per shard fired and not yet gathered.
         self._in_flight: Dict[int, float | None] = {}
-        #: High-water mark of concurrently in-flight sends (observability
-        #: for the overlapped dispatcher; 1 under sequential dispatch).
+        #: High-water mark of concurrently in-flight sends.
         self.max_in_flight = 0
 
     # -- journal -------------------------------------------------------
@@ -184,8 +180,8 @@ class ShardSupervisor:
 
     def track_send(self, shard: int, deadline: float | None) -> None:
         """Account one fired send: the shard's reply is now owed by
-        ``deadline`` (monotonic; None means no deadline).  Overlapped
-        dispatch tracks every shard of a round at once."""
+        ``deadline`` (monotonic; None means no deadline).  A dispatch
+        tracks every shard of a round at once."""
         self._in_flight[shard] = deadline
         self.max_in_flight = max(self.max_in_flight, len(self._in_flight))
 
@@ -197,11 +193,6 @@ class ShardSupervisor:
     def in_flight(self) -> Dict[int, float | None]:
         """Shard -> reply deadline for every unresolved send."""
         return dict(self._in_flight)
-
-    def overdue(self, shard: int, now: float) -> bool:
-        """The shard's in-flight reply deadline has passed."""
-        deadline = self._in_flight.get(shard)
-        return deadline is not None and now >= deadline
 
     # -- health --------------------------------------------------------
 
@@ -242,11 +233,6 @@ class ShardSupervisor:
             self.backoff_base_s
             * (2 ** (attempt - 1))
             * (0.5 + self._rng.random())
-        )
-
-    def describe_health(self) -> str:
-        return " ".join(
-            f"{shard}:{self.health[shard]}" for shard in range(self.n_shards)
         )
 
 

@@ -43,6 +43,18 @@ class Service:
 """
         assert len(findings_of(source)) == 1
 
+    def test_send_helper_is_no_longer_sanctioned(self):
+        # _send dispatches through the send/gather path now; only the
+        # same-seq retry helper may block on request().
+        assert SANCTIONED_DISPATCH == frozenset({"_tracked_request"})
+        source = """
+class Service:
+    def _send(self, shard, message):
+        while True:
+            return self.clients[shard].request(message)
+"""
+        assert len(findings_of(source)) == 1
+
     def test_pipe_safety_family_still_scans_request_many_payloads(self):
         source = """
 import numpy as np

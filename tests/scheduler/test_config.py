@@ -74,12 +74,15 @@ class TestFromArgs:
         assert config.batch_size is None
         assert config.online_learning is False
 
-    def test_overlap_defaults_on_and_no_overlap_turns_it_off(self):
-        assert ScheduleConfig.from_args(_serve_args()).overlap is True
-        config = ScheduleConfig.from_args(_serve_args("--no-overlap"))
-        assert config.overlap is False
-        rebuilt = ScheduleConfig.from_dict(config.to_dict())
-        assert rebuilt.overlap is False
+    def test_serve_has_one_dispatch_path(self):
+        # Overlapped, supervised dispatch is the only mode: neither a
+        # flag nor a config field selects another.
+        for flag in ("--no-overlap", "--supervised"):
+            with pytest.raises(SystemExit):
+                _serve_args(flag)
+        fields = ScheduleConfig().to_dict()
+        assert "overlap" not in fields
+        assert "supervised" not in fields
 
     def test_parse_vcpus(self):
         assert ScheduleConfig.parse_vcpus("8") == (8,)

@@ -2,11 +2,11 @@
 
 The contracts under test, in rough order of importance:
 
-* **No-fault equivalence** — with no ``FaultPlan`` and ``supervised``
-  off, the service's wire bytes carry no ``seq`` keys and its decisions
-  are those of the plain service; with supervision on (journaling
-  active) the wire bytes are identical except for the added ``seq``
-  keys, and the decisions are bit-for-bit unchanged.
+* **Journal retention** — supervision is always on and every mutating
+  wire message carries a ``seq``, but the journal keeps its entries only
+  where a shard can die and be replayed: a process worker, or any shard
+  under a fault plan.  An inline service without faults ends with empty
+  journals.
 * **Crash convergence** — under immediate recovery, crashing any shard
   at *any* message index yields the exact fault-free decisions and
   merged churn report: the journal replay rebuilds the shard's state
@@ -18,6 +18,8 @@ The contracts under test, in rough order of importance:
 """
 
 import json
+import os
+import signal
 
 import pytest
 
@@ -129,16 +131,6 @@ class _RecordingClient:
 
     def close(self):
         self.inner.close()
-
-
-def _record_messages(config, faults=None):
-    with SchedulerService(config, faults=faults) as service:
-        sent = []
-        service.clients = [
-            _RecordingClient(client, sent) for client in service.clients
-        ]
-        report = service.serve()
-        return report, sent
 
 
 class TestFaultPlan:
@@ -327,35 +319,65 @@ class TestSupervisor:
     def test_journal_rollback_only_newest(self):
         journal = ShardJournal()
         first = journal.append({"op": "arrive", "events": []})
-        journal.append({"op": "depart", "events": []})
+        newest = journal.append({"op": "depart", "events": []})
         with pytest.raises(ValueError):
             journal.rollback(first)
+        journal.rollback(newest)
+        # Sequence numbers are never reused, even across rollback.
+        assert journal.append({"op": "decide", "requests": []}).seq == 2
+        assert [entry.seq for entry in journal] == [0, 2]
+
+
+class TestJournalRetention:
+    """Sequence numbers always; journal entries only where replayable."""
+
+    def test_inline_service_without_faults_keeps_no_journal(self):
+        config = _fast_config()
+        with SchedulerService(config) as service:
+            sent = []
+            service.clients = [
+                _RecordingClient(client, sent) for client in service.clients
+            ]
+            service.serve()
+            journals = service.supervisor.journals
+            assert all(len(journal) == 0 for journal in journals)
+            assert all(journal.next_seq > 0 for journal in journals)
+        messages = [json.loads(raw) for raw in sent]
+        mutating = [
+            message
+            for message in messages
+            if message["op"] in ("arrive", "depart", "decide")
+        ]
+        assert mutating
+        assert all("seq" in message for message in mutating)
+
+    @pytest.mark.parametrize(
+        "overrides, faults",
+        [
+            (dict(workers="process"), None),
+            ({}, FaultPlan(actions=[])),
+        ],
+        ids=["process", "fault-plan"],
+    )
+    def test_replayable_services_keep_their_journal(self, overrides, faults):
+        config = _fast_config(**overrides)
+        with SchedulerService(config, faults=faults) as service:
+            service.serve()
+            journals = service.supervisor.journals
+            assert all(len(journal) == journal.next_seq for journal in journals)
+            assert all(len(journal) > 0 for journal in journals)
+
+    def test_unkept_journal_stamps_but_refuses_replay(self):
+        journal = ShardJournal(keep=False)
+        entry = journal.append({"op": "arrive", "events": []})
+        assert entry.message["seq"] == 0
+        assert len(journal) == 0
+        journal.rollback(entry)  # nothing stored, nothing to remove
+        with pytest.raises(RuntimeError, match="cannot be replayed"):
+            list(journal)
 
 
 class TestNoFaultEquivalence:
-    """The acceptance gate: fault machinery off changes nothing."""
-
-    def test_unsupervised_wire_carries_no_seq(self):
-        report, sent = _record_messages(_fast_config())
-        assert sent  # the run really went through the recorder
-        assert all('"seq"' not in message for message in sent)
-        assert report.service.supervised is False
-
-    def test_supervised_wire_is_identical_modulo_seq(self):
-        plain_report, plain_sent = _record_messages(_fast_config())
-        sup_report, sup_sent = _record_messages(
-            _fast_config(supervised=True)
-        )
-        stripped = []
-        for raw in sup_sent:
-            message = json.loads(raw)
-            message.pop("seq", None)
-            stripped.append(json.dumps(message, sort_keys=True))
-        assert stripped == plain_sent
-        assert _report_signature(sup_report) == _report_signature(
-            plain_report
-        )
-
     def test_empty_fault_plan_matches_fault_free(self):
         plain, _ = _serve(_fast_config())
         injected, stats = _serve(
@@ -367,9 +389,8 @@ class TestNoFaultEquivalence:
 
 
 class TestCrashRecovery:
-    @pytest.mark.parametrize("overlap", [True, False])
     @pytest.mark.parametrize("kind", ["crash", "drop", "wedge", "delay"])
-    def test_single_fault_converges_to_fault_free(self, kind, overlap):
+    def test_single_fault_converges_to_fault_free(self, kind):
         plain, _ = _serve(_fast_config())
         plan = FaultPlan(
             actions=[
@@ -378,7 +399,7 @@ class TestCrashRecovery:
                 )
             ]
         )
-        report, stats = _serve(_fast_config(overlap=overlap), faults=plan)
+        report, stats = _serve(_fast_config(), faults=plan)
         assert _report_signature(report) == _report_signature(plain)
         if kind == "crash":
             assert stats.crashes == 1
@@ -396,15 +417,12 @@ class TestCrashRecovery:
             assert stats.timeouts == 0
             assert stats.crashes == 0
 
-    @pytest.mark.parametrize("overlap", [True, False])
-    def test_crash_at_every_message_index_sweep(self, overlap):
+    def test_crash_at_every_message_index_sweep(self):
         """The property sweep: crashing either shard at *any* point in
-        the stream — including while several sends are in flight under
-        overlapped dispatch — loses nothing, duplicates nothing, and
-        converges to the fault-free merged report."""
-        config = _fast_config(
-            requests=24, seed=7, supervised=True, overlap=overlap
-        )
+        the stream — including while several sends are in flight — loses
+        nothing, duplicates nothing, and converges to the fault-free
+        merged report."""
+        config = _fast_config(requests=24, seed=7)
         plain, _ = _serve(config, faults=FaultPlan(actions=[]))
         signature = _report_signature(plain)
         with SchedulerService(config, faults=FaultPlan(actions=[])) as probe:
@@ -456,6 +474,26 @@ class TestCrashRecovery:
         report, stats = _serve(config, faults=plan)
         assert _report_signature(report) == _report_signature(plain)
         assert stats.crashes == 2
+
+    @pytest.mark.slow
+    def test_real_worker_crash_recovers_without_a_fault_plan(self):
+        """A process worker killed for real (no fault plan, default
+        supervision settings) is respawned and replayed: the service
+        ends with the fault-free report."""
+        config = ScheduleConfig(
+            **FAST_REFERENCE, shards=2, window=4, workers="process"
+        )
+        plain, _ = _serve(config)
+        with SchedulerService(config) as service:
+            process = service.clients[0]._process
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=10.0)
+            assert not process.is_alive()
+            report = service.serve()
+            stats = service.stats
+        assert _report_signature(report) == _report_signature(plain)
+        assert stats.crashes == 1
+        assert stats.journal_replays == 1
 
     def test_health_returns_to_up_after_recovery(self):
         config = _fast_config()

@@ -24,14 +24,12 @@ from repro.scheduler import (
     FleetScheduler,
     FragmentationSample,
     GradedDecision,
-    JournalEntry,
     LifecycleScheduler,
     MigrationRecord,
     PlacementRequest,
     RebalanceConfig,
     ScheduleConfig,
     ServiceStats,
-    ShardJournal,
     ShardSummary,
     ShardWorker,
     generate_churn_stream,
@@ -169,7 +167,6 @@ class TestStatsWire:
             exhausted=1,
             shard_requests=[10, 9, 9, 9],
             shard_placed=[10, 8, 9, 9],
-            supervised=True,
             crashes=2,
             timeouts=5,
             backoff_retries=4,
@@ -178,7 +175,6 @@ class TestStatsWire:
             replayed_messages=17,
             degraded_windows=1,
             degraded_arrivals=6,
-            overlapped_rounds=9,
             window_wall_seconds=1.25,
             shard_service_seconds=3.5,
         )
@@ -189,23 +185,18 @@ class TestStatsWire:
         loads: the dispatch-timing fields default to zero."""
         stats = ServiceStats(n_shards=2, window=8)
         payload = wire(stats.to_dict())
-        for key in (
-            "overlapped_rounds",
-            "window_wall_seconds",
-            "shard_service_seconds",
-        ):
+        for key in ("window_wall_seconds", "shard_service_seconds"):
             del payload[key]
         rebuilt = ServiceStats.from_dict(payload)
-        assert rebuilt.overlapped_rounds == 0
         assert rebuilt.window_wall_seconds == 0.0
+        assert rebuilt.shard_service_seconds == 0.0
 
     def test_service_stats_accepts_pre_supervision_payloads(self):
         """A payload recorded before the fault counters existed still
-        loads: the new fields default to the unsupervised zeros."""
+        loads: the new fields default to zero."""
         stats = ServiceStats(n_shards=2, window=8)
         payload = wire(stats.to_dict())
         for key in (
-            "supervised",
             "crashes",
             "timeouts",
             "backoff_retries",
@@ -217,7 +208,6 @@ class TestStatsWire:
         ):
             del payload[key]
         rebuilt = ServiceStats.from_dict(payload)
-        assert rebuilt.supervised is False
         assert rebuilt.crashes == 0
         assert rebuilt.n_shards == 2
 
@@ -259,25 +249,6 @@ class TestFaultWire:
         with pytest.raises(ValueError):
             FaultAction(shard=-1, at_message=0, kind="crash")
 
-    def test_journal_entry_round_trip(self):
-        entry = JournalEntry(
-            seq=3,
-            message={"op": "depart", "events": [[4, 1.5]], "seq": 3},
-        )
-        assert JournalEntry.from_dict(wire(entry.to_dict())) == entry
-
-    def test_shard_journal_round_trip_preserves_sequence(self):
-        journal = ShardJournal()
-        journal.append({"op": "arrive", "events": []})
-        rolled = journal.append({"op": "depart", "events": [[1, 2.0]]})
-        journal.rollback(rolled)
-        journal.append({"op": "decide", "requests": []})
-        rebuilt = ShardJournal.from_dict(wire(journal.to_dict()))
-        assert rebuilt.to_dict() == journal.to_dict()
-        # Sequence numbers are never reused, even across rollback.
-        assert rebuilt.next_seq == 3
-        assert [entry.seq for entry in rebuilt] == [0, 2]
-
 
 class TestConfigWire:
     def test_schedule_config_round_trip(self):
@@ -294,7 +265,6 @@ class TestConfigWire:
             window=5,
             workers="process",
             max_events=100,
-            supervised=True,
             request_timeout_s=7.5,
             fault_retries=4,
             backoff_base_s=0.01,
