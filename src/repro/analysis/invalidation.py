@@ -139,7 +139,11 @@ CACHE_SURFACES: Tuple[CacheSurface, ...] = (
         class_name="ModelServer",
         module_suffix="serving/server.py",
         declared={
+            # The swap lands in the registry's own served-model map
+            # (_models), not in the fitted-model store, which keeps the
+            # offline fits.
             "promote": (
+                "_models",
                 "_baseline_ipc",
                 "invalidate",
                 "assert_version_consistency",

@@ -45,11 +45,9 @@ def _as_2d(y: np.ndarray) -> np.ndarray:
     raise ValueError(f"y must be 1- or 2-dimensional, got shape {y.shape}")
 
 
-def _sse(y: np.ndarray) -> float:
-    """Summed squared error around the mean, over all outputs."""
-    if len(y) == 0:
-        return 0.0
-    mean = y.mean(axis=0)
+def _sse(y: np.ndarray, mean: np.ndarray) -> float:
+    """Summed squared error around ``mean`` (the column means of ``y``),
+    over all outputs."""
     return float(((y - mean) ** 2).sum())
 
 
@@ -175,9 +173,8 @@ class DecisionTreeRegressor:
         return self
 
     def _build(self, X: np.ndarray, Y: np.ndarray, depth: int) -> _Node:
-        node = _Node(
-            value=Y.mean(axis=0), impurity=_sse(Y), n_samples=len(Y)
-        )
+        mean = Y.mean(axis=0)
+        node = _Node(value=mean, impurity=_sse(Y, mean), n_samples=len(Y))
         if (
             (self.max_depth is not None and depth >= self.max_depth)
             or len(Y) < self.min_samples_split

@@ -70,7 +70,7 @@ from repro.scheduler.policies import (
     SpreadFleetPolicy,
     make_policy,
 )
-from repro.scheduler.registry import ModelRegistry
+from repro.scheduler.registry import FittedModels, ModelRegistry
 from repro.scheduler.requests import (
     ArrivalPhase,
     PlacementRequest,
@@ -173,6 +173,7 @@ __all__ = [
     "minimal_node_count",
     "minimal_l2_share",
     "minimal_shape",
+    "FittedModels",
     "ModelRegistry",
     "PlacementRequest",
     "generate_churn_stream",

@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 
 from repro.scheduler.fleet import Fleet
 from repro.scheduler.policies import POLICIES, FleetPolicy, make_policy
-from repro.scheduler.registry import ModelRegistry
+from repro.scheduler.registry import FittedModels, ModelRegistry
 from repro.scheduler.requests import (
     PlacementRequest,
     drift_phase_schedule,
@@ -305,11 +305,16 @@ class ScheduleConfig:
             )
         return Fleet.homogeneous(PRESETS[self.machine](), self.hosts)
 
-    def build_registry(self) -> ModelRegistry:
+    def build_registry(
+        self, fitted: FittedModels | None = None
+    ) -> ModelRegistry:
+        """A registry for this config, fitting into and serving from
+        ``fitted`` when given (a private store otherwise)."""
         return ModelRegistry(
             seed=self.seed,
             memoize_enumeration=not self.naive,
             memoize_ipc=not self.naive,
+            fitted=fitted,
         )
 
     def build_policy(

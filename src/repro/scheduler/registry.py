@@ -12,7 +12,8 @@ thousands of requests.  The registry memoizes all of it:
   per key.  The canonical input pair from :mod:`repro.experiments` is used
   when the key matches the paper's evaluation; other keys fall back to a
   fixed (first, last) pair rather than paying the minutes-long automatic
-  search per shape;
+  search per shape.  The fits live in a :class:`FittedModels` store that
+  several registries may share, so a key is fitted once per store;
 * **simulators** — one :class:`~repro.perfsim.simulator.PerformanceSimulator`
   per shape, standing in for the fleet's measurement plane;
 * **noise-free IPC evaluations** — the grader's inputs.  The baseline
@@ -44,6 +45,41 @@ from repro.scheduler.fleet import minimal_shape
 from repro.topology.machine import MachineTopology
 
 
+class FittedModels:
+    """Fitted models keyed by ``(machine fingerprint, vcpus)``, with the
+    training sets they were fitted on and the corpus those were built from.
+
+    The model is a per-shape artifact, trained once: registries that are
+    given the same store share every fit, so the service hands one store
+    to all its inline shards and each key is fitted once per service
+    instead of once per shard.  Everything else a registry memoizes
+    (enumerations, IPC values, simulators) and every counter it reports
+    stays its own.  A fit depends on the registry's seed, forest size and
+    corpus size as well as on the key, so a store serves only registries
+    that agree on all three.
+    """
+
+    def __init__(self) -> None:
+        self.models: Dict[Tuple, PlacementModel] = {}
+        #: (fingerprint, vcpus) -> the TrainingSet the key's model was
+        #: fitted on, retained so online retraining can warm-start (append
+        #: rows) instead of re-simulating the whole corpus.
+        self.training_sets: Dict[Tuple, TrainingSet] = {}
+        self.corpus: List[WorkloadProfile] | None = None
+        self._settings: Tuple | None = None
+
+    def bind(self, settings: Tuple) -> None:
+        """Tie the store to one registry configuration; a registry with
+        different fit settings would be served models it did not ask for."""
+        if self._settings is None:
+            self._settings = settings
+        elif self._settings != settings:
+            raise ValueError(
+                f"fitted-model store holds fits for (seed, n_estimators, "
+                f"n_synthetic) = {self._settings}, not {settings}"
+            )
+
+
 class ModelRegistry:
     """Lazily built, memoized per-(shape, vcpus) scheduler artifacts.
 
@@ -65,6 +101,9 @@ class ModelRegistry:
         When False, every :meth:`baseline_ipc` / :meth:`solo_ipc` call
         re-runs the (deterministic) noise-free simulation — the
         per-request grading cost the benchmark's baseline pays.
+    fitted:
+        The :class:`FittedModels` store to fit into and serve from;
+        None gives the registry a private one.
     """
 
     def __init__(
@@ -75,6 +114,7 @@ class ModelRegistry:
         n_synthetic: int = 32,
         seed: int = 0,
         memoize_ipc: bool = True,
+        fitted: FittedModels | None = None,
     ) -> None:
         self.memoize_enumeration = memoize_enumeration
         self.n_estimators = n_estimators
@@ -84,13 +124,11 @@ class ModelRegistry:
         self.enumeration_cache = EnumerationCache()
         #: Enumeration pipeline runs that bypassed the cache (naive mode).
         self.uncached_enumerations = 0
+        self.fitted = FittedModels() if fitted is None else fitted
+        self.fitted.bind((seed, n_estimators, n_synthetic))
+        #: (fingerprint, vcpus) -> the model this registry serves.
         self._models: Dict[Tuple, PlacementModel] = {}
-        #: (fingerprint, vcpus) -> the TrainingSet the key's model was
-        #: fitted on, retained so online retraining can warm-start (append
-        #: rows) instead of re-simulating the whole corpus.
-        self._training_sets: Dict[Tuple, TrainingSet] = {}
         self._simulators: Dict[Tuple, PerformanceSimulator] = {}
-        self._corpus: List[WorkloadProfile] | None = None
         #: (fingerprint, vcpus, profile, model-version token) -> baseline
         #: (denominator) IPC.
         self._baseline_ipc: Dict[Tuple, float] = {}
@@ -160,7 +198,7 @@ class ModelRegistry:
             )
 
     def model(self, machine: MachineTopology, vcpus: int) -> PlacementModel:
-        """A fitted model for the key, trained once and reused.
+        """A fitted model for the key, trained once per store and reused.
 
         Model fitting is always memoized, even in naive mode: refitting per
         request would swamp the enumeration/prediction costs the naive
@@ -170,26 +208,33 @@ class ModelRegistry:
         model = self._models.get(key)
         if model is not None:
             return model
-        if self._corpus is None:
-            self._corpus = training_corpus(
-                seed=self.seed + 42, n_synthetic=self.n_synthetic
-            )
+        # The pair is resolved even when another registry already fitted
+        # the key, so this registry's enumeration-cache accounting is what
+        # it would be had it fitted alone.
         pair = self.input_pair(machine, vcpus)
-        training_set = build_training_set(
-            machine,
-            vcpus,
-            self._corpus,
-            simulator=self.simulator(machine),
-            baseline_index=pair[0],
-        )
-        model = PlacementModel(
-            input_pair=pair,
-            n_estimators=self.n_estimators,
-            random_state=self.seed,
-        )
-        model.fit(training_set)
+        fitted = self.fitted
+        model = fitted.models.get(key)
+        if model is None:
+            if fitted.corpus is None:
+                fitted.corpus = training_corpus(
+                    seed=self.seed + 42, n_synthetic=self.n_synthetic
+                )
+            training_set = build_training_set(
+                machine,
+                vcpus,
+                fitted.corpus,
+                simulator=self.simulator(machine),
+                baseline_index=pair[0],
+            )
+            model = PlacementModel(
+                input_pair=pair,
+                n_estimators=self.n_estimators,
+                random_state=self.seed,
+            )
+            model.fit(training_set)
+            fitted.models[key] = model
+            fitted.training_sets[key] = training_set
         self._models[key] = model
-        self._training_sets[key] = training_set
         return model
 
     def training_set(
@@ -198,9 +243,9 @@ class ModelRegistry:
         """The corpus the key's model was fitted on (fitting it first if
         needed) — the warm-start base for online retraining."""
         key = (machine.fingerprint(), int(vcpus))
-        if key not in self._training_sets:
+        if key not in self.fitted.training_sets:
             self.model(machine, vcpus)
-        return self._training_sets[key]
+        return self.fitted.training_sets[key]
 
     def model_version_token(
         self, machine: MachineTopology, vcpus: int

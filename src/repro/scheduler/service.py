@@ -69,6 +69,7 @@ from repro.scheduler.lifecycle import (
 )
 from repro.scheduler.faults import FaultInjectingClient, FaultPlan
 from repro.scheduler.policies import FleetDecision
+from repro.scheduler.registry import FittedModels
 from repro.scheduler.requests import PlacementRequest
 from repro.scheduler.scheduler import FleetReport, GradedDecision
 from repro.scheduler.shard import (
@@ -422,11 +423,18 @@ class SchedulerService:
         config.validate()
         if config.online_learning:
             raise ValueError(
-                "online learning is monolithic-only for now: promotions "
-                "mutate one registry, and per-shard registries would "
-                "drift apart (run repro schedule --online-learning)"
+                "online learning is monolithic-only for now: promotion "
+                "and retraining change one model server, while a "
+                "service's inline shards share one fitted-model store "
+                "and process workers each fit their own, so shards "
+                "would serve different model versions (run repro "
+                "schedule --online-learning)"
             )
         self.config = config
+        #: Fitted models shared by every inline shard, respawned ones
+        #: included: each (shape, vcpus) forest is fitted once per
+        #: service.  Process workers fit into their own.
+        self.fitted = FittedModels()
         machines = config.machine_list()
         self.machines = machines
         self._by_name = machines_by_name(machines)
@@ -499,7 +507,10 @@ class SchedulerService:
             )
         else:
             client = InlineShardClient(
-                shard, self.config, machines=self._shard_machines[shard]
+                shard,
+                self.config,
+                machines=self._shard_machines[shard],
+                fitted=self.fitted,
             )
         if self._fault_schedules is not None:
             client = FaultInjectingClient(

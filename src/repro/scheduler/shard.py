@@ -9,7 +9,10 @@ unchanged against its own :class:`~repro.scheduler.fleet.Fleet`,
 own fleet index and block-score tables.  A shard never sees another
 shard's hosts, so its candidate scans are ``1/n_shards`` the size, and a
 window of routed arrivals is decided in one policy batch so the fused
-forest call amortizes per shard.
+forest call amortizes per shard.  Only the fitted models are shared: the
+service's inline shards fit into one
+:class:`~repro.scheduler.registry.FittedModels` store, so each ``(shape,
+vcpus)`` forest is fitted once per service.
 
 Everything crossing the shard boundary is a JSON-safe dict built from
 the wire surface (``to_dict`` / ``from_dict``): requests in, graded
@@ -57,6 +60,7 @@ from typing import Dict, List, Sequence
 from repro.scheduler.events import EventKind, LifecycleEvent
 from repro.scheduler.lifecycle import LifecycleScheduler, RebalanceConfig
 from repro.scheduler.requests import PlacementRequest
+from repro.scheduler.registry import FittedModels
 from repro.scheduler.capacity import CapacityTracker, CapacityVector
 from repro.scheduler.scheduler import FleetReport, GradedDecision, grade_decision
 from repro.topology.machine import MachineTopology
@@ -193,13 +197,18 @@ class ShardWorker:
         the global fleet belongs to shard ``g % shards``).
     config:
         The service-wide :class:`~repro.scheduler.config.ScheduleConfig`.
-        The worker builds its own registry and policy from it, so a
+        The worker builds its registry and policy from it, so a
         process-transport worker reconstructs bit-for-bit the same
         artifacts as an inline one (everything derives from the seed and
         the preset names).
     machines:
         Optional explicit fleet slice (one topology per local host).
         Defaults to ``config.machine_list()[shard_id::config.shards]``.
+    fitted:
+        Optional :class:`~repro.scheduler.registry.FittedModels` store
+        for the registry.  The service passes one store to all its
+        inline workers, so a model another shard has already fitted is
+        not fitted again; a process worker fits into a private one.
     """
 
     def __init__(
@@ -208,6 +217,7 @@ class ShardWorker:
         config,
         *,
         machines: Sequence[MachineTopology] | None = None,
+        fitted: FittedModels | None = None,
     ) -> None:
         from repro.scheduler.fleet import Fleet
 
@@ -222,7 +232,7 @@ class ShardWorker:
             )
         self.machines = list(machines)
         self.fleet = Fleet(self.machines)
-        self.registry = config.build_registry()
+        self.registry = config.build_registry(fitted)
         self.policy = config.build_policy(self.registry)
         self.engine = LifecycleScheduler(
             self.fleet,
@@ -414,10 +424,11 @@ class InlineShardClient:
         config,
         *,
         machines: Sequence[MachineTopology] | None = None,
+        fitted: FittedModels | None = None,
     ) -> None:
         self.shard_id = shard_id
         self.worker: ShardWorker | None = ShardWorker(
-            shard_id, config, machines=machines
+            shard_id, config, machines=machines, fitted=fitted
         )
         #: Responses produced at send time, awaiting recv, oldest first.
         self._pending: List[Dict] = []

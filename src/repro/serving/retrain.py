@@ -109,7 +109,7 @@ class Retrainer:
         # executions, and the next round should append to them rather than
         # re-simulate them.
         key = (machine.fingerprint(), int(vcpus))
-        self.server._training_sets[key] = extended
+        self.server.fitted.training_sets[key] = extended
         return self.server.add_candidate(
             machine,
             vcpus,

@@ -148,13 +148,19 @@ class PromotionRecord:
 class ModelServer(ModelRegistry):
     """A :class:`ModelRegistry` whose models are versioned artifacts.
 
-    Accepts the same constructor arguments as the registry and can be
-    dropped in anywhere a registry is used (policies, schedulers, the
-    grader).  Until a candidate is promoted it serves exactly what the
-    plain registry would serve.
+    Accepts the same constructor arguments as the registry, except a
+    shared fitted-model store, and can be dropped in anywhere a registry
+    is used (policies, schedulers, the grader).  Until a candidate is
+    promoted it serves exactly what the plain registry would serve.
     """
 
     def __init__(self, **kwargs) -> None:
+        if kwargs.get("fitted") is not None:
+            raise ValueError(
+                "a ModelServer keeps a private fitted-model store: "
+                "retraining extends its training sets in place, which "
+                "would leak into every registry sharing the store"
+            )
         super().__init__(**kwargs)
         #: (fingerprint, vcpus) -> version chain, oldest first.
         self._chains: Dict[Tuple, List[ModelVersion]] = {}

@@ -1,5 +1,7 @@
 """Unit and property tests for the CART regression tree."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,3 +221,33 @@ class TestStructureWithoutRecursion:
             tree.depth
         with pytest.raises(RuntimeError):
             tree.n_leaves
+
+
+def forest_arrays_digest(seed: int = 0) -> str:
+    """SHA-256 over the flattened node arrays of every tree in the six
+    forests a mixed AMD/Intel fleet fits for 8, 16 and 32 vCPUs."""
+    from repro.scheduler.registry import ModelRegistry
+    from repro.topology import PRESETS
+
+    registry = ModelRegistry(seed=seed)
+    digest = hashlib.sha256()
+    for name in ("amd", "intel"):
+        machine = PRESETS[name]()
+        for vcpus in (8, 16, 32):
+            for tree in registry.model(machine, vcpus)._forest.trees_:
+                for array in tree._compile():
+                    digest.update(array.dtype.str.encode())
+                    digest.update(repr(array.shape).encode())
+                    digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+#: Recorded before the node mean was computed once per node; any change
+#: to the split search or the leaf values moves it.
+FOREST_ARRAYS_SHA256 = (
+    "5c76da28671620437c435d98b1ba29a595ea39944aed606ea8e96484a8546ee0"
+)
+
+
+def test_mixed_fleet_forests_match_golden_arrays():
+    assert forest_arrays_digest() == FOREST_ARRAYS_SHA256

@@ -12,6 +12,10 @@ dead shard's slice over *before* the surviving shards' window messages,
 the overlapped path does so after them).  They pin the one
 remaining dispatch path on both transports, with and without crashes,
 under immediate and deferred recovery, and with admission control on.
+The ``mixed-*`` cells serve a goal-aware stream on both machine shapes
+at four shards; they were recorded while every shard still fitted its
+own forests, and pin that sharing fitted models between inline shards
+changes no decision, report or counter.
 
 Re-record (only for an intended decision change) with::
 
@@ -27,7 +31,11 @@ import pytest
 
 from repro.scheduler import FaultPlan, ScheduleConfig, SchedulerService
 from tests.scheduler.test_faults import FAST_REFERENCE
-from tests.scheduler.test_service import CHURN_REFERENCE, _fingerprints
+from tests.scheduler.test_service import (
+    CHURN_REFERENCE,
+    MIXED_REFERENCE,
+    _fingerprints,
+)
 
 GOLDEN_PATH = Path(__file__).with_name("dispatch_golden.json")
 
@@ -78,6 +86,19 @@ def _cells():
                 recovery_rounds=FAULTS[fault] or 0,
             ),
             FAULTS[fault] is not None,
+        )
+    for workers, fault in itertools.product(
+        ("inline", "process"), ("none", "kill-r0")
+    ):
+        cells[f"mixed-{workers}-s4w8-{fault}"] = (
+            dict(
+                MIXED_REFERENCE,
+                workers=workers,
+                shards=4,
+                window=8,
+                backoff_base_s=0.0,
+            ),
+            fault != "none",
         )
     cells["fast-inline-s2w4-kill-r2-admission"] = (
         dict(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.scheduler import (
+    FittedModels,
     Fleet,
     FirstFitFleetPolicy,
     GoalAwareFleetPolicy,
@@ -247,6 +248,22 @@ class TestRegistry:
         runs = registry.enumeration_runs()
         registry.placements(amd_opteron_6272(), 16)
         assert registry.enumeration_runs() == runs  # cache hit
+
+    def test_registries_sharing_a_store_share_fits_only(self):
+        fitted = FittedModels()
+        a = ModelRegistry(n_estimators=4, n_synthetic=2, fitted=fitted)
+        b = ModelRegistry(n_estimators=4, n_synthetic=2, fitted=fitted)
+        machine = amd_opteron_6272()
+        assert b.model(machine, 8) is a.model(machine, 8)
+        assert b.training_set(machine, 8) is a.training_set(machine, 8)
+        # Enumeration stays per registry: both resolved the input pair.
+        assert a.enumeration_runs() == b.enumeration_runs() == 1
+
+    def test_store_refuses_other_fit_settings(self):
+        fitted = FittedModels()
+        ModelRegistry(seed=1, fitted=fitted)
+        with pytest.raises(ValueError, match="fitted-model store"):
+            ModelRegistry(seed=2, fitted=fitted)
 
     def test_naive_mode_reenumerates(self):
         registry = ModelRegistry(memoize_enumeration=False)

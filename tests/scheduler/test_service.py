@@ -1,11 +1,16 @@
 """Tests for the sharded scheduler service: single-shard bit-identity
-with the monolithic engines, and the optimistic conflict-retry
-property (every request placed or rejected exactly once)."""
+with the monolithic engines, the optimistic conflict-retry property
+(every request placed or rejected exactly once), and the one
+fitted-model store a service's inline shards share."""
+
+import itertools
 
 import pytest
 
+from repro.core.model import PlacementModel
 from repro.perfsim import workload_by_name
 from repro.scheduler import (
+    FaultPlan,
     FleetScheduler,
     LifecycleScheduler,
     PlacementRequest,
@@ -30,6 +35,21 @@ CHURN_REFERENCE = dict(
     mean_lifetime=25.0,
     heavy_tail=True,
     vcpus=(8, 8, 8, 32),
+)
+
+#: A goal-aware stream over both machine shapes: with four shards, shards
+#: 0 and 2 hold the AMD hosts and shards 1 and 3 the Intel ones, so two
+#: inline shards need each fitted model.
+MIXED_REFERENCE = dict(
+    machine="mixed",
+    hosts=8,
+    requests=60,
+    seed=5,
+    churn=True,
+    arrival_rate=1.0,
+    mean_lifetime=25.0,
+    heavy_tail=True,
+    vcpus=(8, 16, 32),
 )
 
 
@@ -319,3 +339,99 @@ class TestProcessTransport:
             inline.decisions
         )
         assert process.service.transport == "process"
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Every ``PlacementModel.fit`` call made while the test runs."""
+    calls = []
+    fit = PlacementModel.fit
+
+    def counted(model, training_set):
+        calls.append(model)
+        return fit(model, training_set)
+
+    monkeypatch.setattr(PlacementModel, "fit", counted)
+    return calls
+
+
+def _warm(service):
+    """Resolve every (shape, vcpus) model each inline shard can use."""
+    for client in service.clients:
+        worker = getattr(client, "inner", client).worker
+        shapes = {machine.fingerprint(): machine for machine in worker.machines}
+        for machine in shapes.values():
+            for vcpus in service.config.vcpus:
+                worker.registry.model(machine, vcpus)
+
+
+class TestFittedModelStore:
+    """Inline shards fit into one store per service: each (shape, vcpus)
+    forest is fitted once, whatever the shard count."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_each_key_is_fitted_once_per_service(self, fit_calls, shards):
+        config = ScheduleConfig(**MIXED_REFERENCE, shards=shards)
+        with SchedulerService(config) as service:
+            _warm(service)
+            keys = set(service.fitted.models)
+        # Two machine shapes x three vCPU classes.
+        assert len(keys) == 6
+        assert len(fit_calls) == 6
+
+    def test_inline_shards_of_one_shape_share_the_model(self):
+        config = ScheduleConfig(**MIXED_REFERENCE, shards=4)
+        with SchedulerService(config) as service:
+            _warm(service)
+            workers = [client.worker for client in service.clients]
+        shared = 0
+        for a, b in itertools.combinations(workers, 2):
+            machine = a.machines[0]
+            same_shape = b.machines[0].fingerprint() == machine.fingerprint()
+            for vcpus in config.vcpus:
+                same_model = a.registry.model(machine, vcpus) is (
+                    b.registry.model(b.machines[0], vcpus)
+                )
+                assert same_model == same_shape
+            shared += same_shape
+        # Shards 0 and 2 hold the AMD hosts, 1 and 3 the Intel ones.
+        assert shared == 2
+
+    def test_a_second_service_fits_again(self, fit_calls):
+        config = ScheduleConfig(**MIXED_REFERENCE, shards=2)
+        for _ in range(2):
+            with SchedulerService(config) as service:
+                _warm(service)
+        assert len(fit_calls) == 12
+
+    def test_respawned_inline_shard_does_not_refit(self, fit_calls):
+        config = ScheduleConfig(
+            **MIXED_REFERENCE, shards=4, window=8, backoff_base_s=0.0
+        )
+        faults = FaultPlan.kill_each_shard_once(4, seed=config.seed)
+        with SchedulerService(config, faults=faults) as service:
+            _warm(service)
+            assert len(fit_calls) == 6
+            report = service.serve()
+        assert report.service.crashes == 4
+        assert report.service.journal_replays == 4
+        assert len(fit_calls) == 6
+
+    @pytest.mark.slow
+    def test_shared_store_keeps_per_shard_accounting(self):
+        """Each process worker fits into its own store, so the process
+        twin is the oracle for what sharing must not change: decisions
+        and every merged memo counter."""
+        base = dict(MIXED_REFERENCE, shards=4, window=8)
+        reports = {}
+        for workers in ("inline", "process"):
+            config = ScheduleConfig(**base, workers=workers)
+            with SchedulerService(config) as service:
+                reports[workers] = service.serve()
+        inline, process = reports["inline"], reports["process"]
+        assert _fingerprints(inline.decisions) == _fingerprints(
+            process.decisions
+        )
+        assert inline.cache_info == process.cache_info
+        assert inline.enumeration_runs == process.enumeration_runs
+        assert inline.ipc_cache_info == process.ipc_cache_info

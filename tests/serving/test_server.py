@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.blockscores import DEFAULT_BLOCK_SCORE_CACHE
 from repro.perfsim.library import paper_workloads
-from repro.scheduler import ModelRegistry
+from repro.scheduler import FittedModels, ModelRegistry
 from repro.serving import ModelServer, VersionStatus
 from repro.topology import amd_opteron_6272
 
@@ -33,6 +33,11 @@ def _candidate(server, machine, vcpus, *, time=1.0):
         time=time,
         n_training_rows=len(server.training_set(machine, vcpus)),
     )
+
+
+def test_server_refuses_a_shared_store():
+    with pytest.raises(ValueError, match="private fitted-model store"):
+        ModelServer(seed=0, fitted=FittedModels())
 
 
 class TestVersionChains:
